@@ -36,12 +36,17 @@ class XorFreeInstance:
 
     ``choices`` maps the path of each xor node in the original tree
     (``$`` is the root, ``.0``/``.1`` descend left/right) to the branch
-    kept in this instance.
+    kept in this instance.  ``slot_counts`` memoizes
+    :func:`count_sequences` per slot, as a slot's count depends only on
+    the instance and the slot.
     """
 
     ast: CompositionNode
     poset: Poset
     choices: tuple[tuple[str, str], ...]
+    slot_counts: dict[tuple[str, ...], int] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @cached_property
     def steps(self) -> tuple[str, ...]:
@@ -68,12 +73,6 @@ class Arrangement:
 
     def step_set(self) -> frozenset[str]:
         return frozenset(s for slot in self.slots for s in slot)
-
-    def slot_of(self, step: str) -> int:
-        for i, slot in enumerate(self.slots):
-            if step in slot:
-                return i
-        raise KeyError(step)
 
 
 def eliminate_xor(root: CompositionNode) -> list[XorFreeInstance]:
@@ -196,8 +195,11 @@ def count_sequences(arrangement: Arrangement) -> int:
     and slots are independent, so the class size is the product of the
     per-slot linear-extension counts.
     """
-    poset = arrangement.owner.poset
+    owner = arrangement.owner
     total = 1
     for slot in arrangement.slots:
-        total *= count_linear_extensions(poset, slot)
+        count = owner.slot_counts.get(slot)
+        if count is None:
+            count = owner.slot_counts[slot] = count_linear_extensions(owner.ast, slot)
+        total *= count
     return total

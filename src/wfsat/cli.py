@@ -12,7 +12,7 @@ One binary, orthogonal verbs:
 Reports are canonical JSON on stdout; diagnostics go to stderr.  Exit
 codes: 0 decision yes (or success), 1 decision no, 2 usage/parse error,
 3 enumeration size limit.  Timings are opt-in (``--timings``) so that
-reports stay byte-identical across runs and worker counts.
+reports stay byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -108,10 +108,12 @@ def _common(sub: argparse.ArgumentParser, jobs: bool = False, limit: bool = Fals
     sub.add_argument("--timings", action="store_true", help="include wall-clock timing in the report")
     if jobs:
         sub.add_argument(
-            "--jobs", type=_positive_int, default=None, help="worker threads (default: all cores)"
+            "--jobs", type=_positive_int, default=None, help="ignored; analysis is serial"
         )
     if limit:
-        sub.add_argument("--limit", type=int, default=None, help="sequence cap for exhaustive paths")
+        sub.add_argument(
+            "--limit", type=_positive_int, default=None, help="sequence cap for exhaustive paths"
+        )
 
 
 def _rational(text: str | None, flag: str) -> Fraction | None:
@@ -155,7 +157,7 @@ def _seconds(args, started: float) -> float | None:
 
 def _run_check(args, started: float) -> int:
     schema = load_schema(args.file)
-    analysis = decisions.analyze(schema, jobs=args.jobs)
+    analysis = decisions.analyze(schema)
     budget = _budget_of(args, schema, required=args.mode in ("bounded", "expected", "approx"))
     probability = _probability_of(args, schema, required=args.mode == "approx")
     if args.mode == "strong":
@@ -183,7 +185,7 @@ def _run_check(args, started: float) -> int:
 
 def _run_solve(args, started: float) -> int:
     schema = load_schema(args.file)
-    analysis = decisions.analyze(schema, jobs=args.jobs)
+    analysis = decisions.analyze(schema)
     budget = _budget_of(args, schema, required=False)
     _emit(
         reports.build_report(
@@ -291,7 +293,7 @@ def _run_oracle(args, started: float) -> int:
 
 def _run_min_budget(args, started: float) -> int:
     schema = load_schema(args.file)
-    analysis = decisions.analyze(schema, jobs=args.jobs)
+    analysis = decisions.analyze(schema)
     if args.mode == "bounded":
         value = decisions.min_budget_bounded(analysis)
     else:

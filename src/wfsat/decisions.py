@@ -11,10 +11,8 @@ the probability of completing within budget.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-import os
 
 from .arrangements import (
     Arrangement,
@@ -75,34 +73,21 @@ class Analysis:
 def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     """Run the full pipeline; records come out in canonical order.
 
-    ``jobs`` fans the per-arrangement solves out to worker threads; the
-    reduction is order-insensitive and results are reordered canonically,
-    so the worker count never changes the output.
+    The analysis is serial.  ``jobs`` is accepted for compatibility and
+    ignored.
     """
     instances = eliminate_xor(schema.workflow)
-    tasks: list[tuple[int, Arrangement]] = [
-        (i, arr)
-        for i, instance in enumerate(instances)
-        for arr in enumerate_arrangements(instance)
-    ]
     cache = SolveCache()
-
-    def solve(task: tuple[int, Arrangement]) -> ArrangementRecord:
-        index, arrangement = task
-        return ArrangementRecord(
-            instance_index=index,
+    records = [
+        ArrangementRecord(
+            instance_index=i,
             arrangement=arrangement,
             count=count_sequences(arrangement),
             solution=min_cost_arrangement(arrangement, schema, cache),
         )
-
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(solve, tasks))
-    else:
-        records = [solve(task) for task in tasks]
+        for i, instance in enumerate(instances)
+        for arrangement in enumerate_arrangements(instance)
+    ]
     return Analysis(
         schema=schema,
         instances=instances,
@@ -112,10 +97,10 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     )
 
 
-def _as_analysis(schema_or_analysis, jobs: int | None = 1) -> Analysis:
+def _as_analysis(schema_or_analysis) -> Analysis:
     if isinstance(schema_or_analysis, Analysis):
         return schema_or_analysis
-    return analyze(schema_or_analysis, jobs=jobs)
+    return analyze(schema_or_analysis)
 
 
 def _guard_zero_weights(schema: Schema) -> None:
@@ -132,16 +117,14 @@ def _guard_zero_weights(schema: Schema) -> None:
                 )
 
 
-def check_strong_sat(
-    schema_or_analysis, jobs: int | None = 1
-) -> tuple[bool, ArrangementRecord | None]:
+def check_strong_sat(schema_or_analysis) -> tuple[bool, ArrangementRecord | None]:
     """Whether every execution sequence admits a zero-cost plan.
 
     By cost invariance within a class and positivity of all weights, this
     holds iff every arrangement's minimum cost is zero.  Returns the first
     failing arrangement as a witness.
     """
-    analysis = _as_analysis(schema_or_analysis, jobs)
+    analysis = _as_analysis(schema_or_analysis)
     _guard_zero_weights(analysis.schema)
     for record in analysis.records:
         if record.min_cost > 0:
@@ -149,34 +132,34 @@ def check_strong_sat(
     return True, None
 
 
-def check_bounded_cost(schema_or_analysis, budget, jobs: int | None = 1) -> bool:
+def check_bounded_cost(schema_or_analysis, budget) -> bool:
     """Every arrangement has a plan within the budget."""
-    analysis = _as_analysis(schema_or_analysis, jobs)
+    analysis = _as_analysis(schema_or_analysis)
     return analysis.max_cost <= Fraction(budget)
 
 
-def check_expected_cost(schema_or_analysis, budget, jobs: int | None = 1) -> bool:
+def check_expected_cost(schema_or_analysis, budget) -> bool:
     """The sequence-weighted mean minimum cost is within the budget."""
-    analysis = _as_analysis(schema_or_analysis, jobs)
+    analysis = _as_analysis(schema_or_analysis)
     budget = Fraction(budget)
     # Cross-multiplied form of expected_cost <= budget; exact.
     return sum(r.count * r.min_cost for r in analysis.records) <= budget * analysis.total_sequences
 
 
-def check_approx(schema_or_analysis, budget, probability, jobs: int | None = 1) -> bool:
+def check_approx(schema_or_analysis, budget, probability) -> bool:
     """At least the given fraction of sequences completes within the budget."""
-    analysis = _as_analysis(schema_or_analysis, jobs)
+    analysis = _as_analysis(schema_or_analysis)
     b = analysis.within_budget(Fraction(budget))
     return b >= Fraction(probability) * analysis.total_sequences
 
 
-def min_budget_bounded(schema_or_analysis, jobs: int | None = 1) -> Fraction:
+def min_budget_bounded(schema_or_analysis) -> Fraction:
     """Smallest budget with bounded cost: the maximum arrangement cost."""
-    analysis = _as_analysis(schema_or_analysis, jobs)
+    analysis = _as_analysis(schema_or_analysis)
     return Fraction(analysis.max_cost)
 
 
-def min_budget_expected(schema_or_analysis, jobs: int | None = 1) -> Fraction:
+def min_budget_expected(schema_or_analysis) -> Fraction:
     """Smallest budget with bounded expected cost: the mean cost."""
-    analysis = _as_analysis(schema_or_analysis, jobs)
+    analysis = _as_analysis(schema_or_analysis)
     return analysis.expected_cost

@@ -2,8 +2,8 @@
 
 Reports are plain JSON-serializable dicts rendered through
 :func:`wfsat.io.canonical_json`, so identical analyses produce identical
-bytes regardless of worker count.  The shape is published as a JSON
-Schema in ``report-schema.json`` next to this module.
+bytes.  The shape is published as a JSON Schema in ``report-schema.json``
+next to this module.
 """
 
 from __future__ import annotations

@@ -244,12 +244,7 @@ def solve_vwsp(
 
 
 class SolveCache:
-    """Memo of component solutions, keyed by step set and constraint multiset.
-
-    Entries are deterministic functions of their keys, so concurrent
-    insertion from worker threads is harmless: any interleaving stores the
-    same values.
-    """
+    """Memo of component solutions, keyed by step set and constraint multiset."""
 
     def __init__(self):
         self._table: dict = {}

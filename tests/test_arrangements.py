@@ -11,12 +11,17 @@ from wfsat.arrangements import (
     eliminate_xor,
     enumerate_arrangements,
 )
-from wfsat.errors import NotASequence
-from wfsat.model import element_order, par, seq, step, xor
+from wfsat.errors import NotASequence, XorPresent
+from wfsat.model import element_order, par, seq, step, step_ids, xor
 from wfsat.oracle import sigma
-from wfsat.sequences import count_linear_extensions, equivalent, gen_sequences
+from wfsat.sequences import (
+    count_linear_extensions,
+    equivalent,
+    gen_sequences,
+    sequence_count,
+)
 
-from randgen import random_tree
+from randgen import random_schema, random_tree
 
 EXPECTED_ARRANGEMENTS = [
     # (release order, slots, class size) for the purchase-order example.
@@ -191,7 +196,7 @@ class TestClassesMatchEquivalence:
                 class_size = sum(1 for s in seqs if equivalent(s, member, rel))
                 product = 1
                 for slot in arr.slots:
-                    product *= count_linear_extensions(inst.poset, slot)
+                    product *= count_linear_extensions(inst.ast, slot)
                 assert count_sequences(arr) == class_size == product
 
 
@@ -233,3 +238,20 @@ def test_count_sequences_chain_slots_is_one():
     inst = eliminate_xor(node)[0]
     (arr,) = enumerate_arrangements(inst)
     assert count_sequences(arr) == 1
+
+
+@pytest.mark.parametrize("seed", [2, 4, 10, 17])
+def test_class_sizes_sum_to_sigma_beyond_oracle_scale(seed):
+    # Up to 6.6 million sequences per instance: too many to generate, so the
+    # class sizes are checked against |Sigma| alone.
+    schema = random_schema(seed, max_steps=10, max_releases=3, max_effort=None)
+    assert 8 <= len(step_ids(schema.workflow)) <= 10
+    for inst in eliminate_xor(schema.workflow):
+        arrangements = enumerate_arrangements(inst)
+        assert sum(count_sequences(a) for a in arrangements) == sequence_count(inst.ast)
+
+
+def test_count_linear_extensions_rejects_xor():
+    # The xor lies outside the subset and still makes the order undefined.
+    with pytest.raises(XorPresent):
+        count_linear_extensions(seq(step("a"), xor(step("b"), step("c"))), ("a",))

@@ -184,6 +184,13 @@ class TestErrors:
     def test_bad_rational_flag(self):
         assert run_cli("check", "--mode", "bounded", "--budget", "five", RESTRICTED)[0] == 2
 
+    @pytest.mark.parametrize(
+        "verb", [("enumerate", "--what", "sequences"), ("oracle", "--mode", "strong")]
+    )
+    def test_nonpositive_limit(self, verb):
+        assert run_cli(*verb, "--limit", "-3", PO)[0] == 2
+        assert run_cli(*verb, "--limit", "0", PO)[0] == 2
+
     def test_unknown_verb(self):
         assert run_cli("frobnicate", RESTRICTED)[0] == 2
 

@@ -164,20 +164,20 @@ class TestEquivalence:
 
 class TestCountLinearExtensions:
     def test_chain(self):
-        p = compile_poset(seq(step("a"), step("b"), step("c")))
-        assert count_linear_extensions(p, ("a", "b", "c")) == 1
+        tree = seq(step("a"), step("b"), step("c"))
+        assert count_linear_extensions(tree, ("a", "b", "c")) == 1
 
     def test_antichain(self):
-        p = compile_poset(par(step("a"), par(step("b"), step("c"))))
-        assert count_linear_extensions(p, ("a", "b", "c")) == 6
+        tree = par(step("a"), par(step("b"), step("c")))
+        assert count_linear_extensions(tree, ("a", "b", "c")) == 6
 
     def test_purchase_order_upper_prefix(self, purchase_order):
         upper = eliminate_xor(purchase_order.workflow)[0]
-        assert count_linear_extensions(upper.poset, ("s1", "s2", "s3", "s4", "s5")) == 3
+        assert count_linear_extensions(upper.ast, ("s1", "s2", "s3", "s4", "s5")) == 3
 
     def test_empty_subset(self, purchase_order):
         upper = eliminate_xor(purchase_order.workflow)[0]
-        assert count_linear_extensions(upper.poset, ()) == 1
+        assert count_linear_extensions(upper.ast, ()) == 1
 
     def test_matches_filter_on_random_subsets(self):
         rng = random.Random(23)
@@ -186,6 +186,6 @@ class TestCountLinearExtensions:
             p = compile_poset(tree)
             els = list(p.elements)
             subset = rng.sample(els, rng.randint(0, min(6, len(els))))
-            assert count_linear_extensions(p, subset) == len(
+            assert count_linear_extensions(tree, subset) == len(
                 linear_extensions_by_filter(p, sorted(subset))
             )
