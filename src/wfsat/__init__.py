@@ -3,8 +3,10 @@ constrained compositional workflows with release points.
 
 The pipeline: eliminate xor branchings, enumerate execution arrangements
 (equivalence classes of execution sequences), and solve one Valued WSP
-per arrangement by set-partition patterns plus min-cost matching.  A
-deliberately independent brute-force oracle backs every derived value.
+per cost signature (arrangements that place every constraint's scope
+steps in the same release spans share it) by set-partition patterns plus
+min-cost matching.  A deliberately independent brute-force oracle backs
+every derived value.
 """
 
 from .arrangements import (
@@ -62,6 +64,7 @@ from .solver import (
     CostedPlan,
     Partition,
     SolveCache,
+    cost_signature,
     decompose_constraint,
     min_auth_weight,
     min_cost_arrangement,
@@ -99,6 +102,7 @@ __all__ = [
     "check_strong_sat",
     "compile_poset",
     "concat",
+    "cost_signature",
     "count_linear_extensions",
     "count_sequences",
     "decompose_constraint",

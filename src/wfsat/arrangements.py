@@ -4,8 +4,10 @@ An arrangement is an equivalence class of execution sequences that agree
 on the order of release points, the executed step set, and each step's
 position relative to the release points.  It is represented compactly as
 alternating step slots and release points (S1, r1, S2, ..., r_{q-1}, Sq).
-All sequences of one arrangement admit plans of identical cost, so the
-solver only needs one optimization per arrangement.
+All sequences of one arrangement admit plans of identical cost, and that
+cost depends only on the arrangement's cost signature (see
+:func:`wfsat.solver.cost_signature`), so the solver runs one optimization
+per cost signature.
 """
 
 from __future__ import annotations
@@ -112,19 +114,17 @@ def enumerate_arrangements(instance: XorFreeInstance) -> list[Arrangement]:
     in lexicographic order of the canonical element index; for each, step
     slot vectors are visited in mixed-radix order, restricted up front to
     each step's feasible slot interval implied by its comparabilities with
-    the release points.
+    the release points.  Digits are assigned depth first in step order,
+    which linearly extends the poset, so each step's digit starts at the
+    largest digit of its predecessors and no infeasible vector is built.
     """
     poset = instance.poset
     releases = list(instance.releases)
     steps = list(instance.steps)
+    n = len(steps)
     q = len(releases) + 1
 
-    order_pairs = [
-        (i, j)
-        for i, a in enumerate(steps)
-        for j, b in enumerate(steps)
-        if i != j and poset.less(a, b)
-    ]
+    preds = [[i for i in range(j) if poset.less(steps[i], steps[j])] for j in range(n)]
 
     out: list[Arrangement] = []
     for perm in itertools.permutations(releases):
@@ -134,7 +134,7 @@ def enumerate_arrangements(instance: XorFreeInstance) -> list[Arrangement]:
             continue
         # Feasible slot interval per step: a step sits after every release
         # point below it and before every release point above it.
-        ranges = []
+        lows, highs = [], []
         for s in steps:
             lo, hi = 0, q - 1
             for j, r in enumerate(perm):
@@ -144,21 +144,31 @@ def enumerate_arrangements(instance: XorFreeInstance) -> list[Arrangement]:
                     hi = min(hi, j)
             if lo > hi:
                 break
-            ranges.append(range(lo, hi + 1))
+            lows.append(lo)
+            highs.append(hi)
         else:
-            for digits in itertools.product(*ranges):
-                if any(digits[i] > digits[j] for i, j in order_pairs):
-                    continue
-                slots: list[list[str]] = [[] for _ in range(q)]
-                for s, d in zip(steps, digits):
-                    slots[d].append(s)
-                out.append(
-                    Arrangement(
-                        release_order=tuple(perm),
-                        slots=tuple(tuple(slot) for slot in slots),
-                        owner=instance,
+            release_order = tuple(perm)
+            digits = [0] * n
+
+            def place(j: int) -> None:
+                if j == n:
+                    slots: list[list[str]] = [[] for _ in range(q)]
+                    for s, d in zip(steps, digits):
+                        slots[d].append(s)
+                    out.append(
+                        Arrangement(
+                            release_order=release_order,
+                            slots=tuple(tuple(slot) for slot in slots),
+                            owner=instance,
+                        )
                     )
-                )
+                    return
+                lo = max([lows[j]] + [digits[i] for i in preds[j]])
+                for d in range(lo, highs[j] + 1):
+                    digits[j] = d
+                    place(j + 1)
+
+            place(0)
     return out
 
 

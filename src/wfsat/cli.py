@@ -226,20 +226,7 @@ def _run_enumerate(args, started: float) -> int:
             for arr in enumerate_arrangements(inst):
                 count = count_sequences(arr)
                 total_sequences += count
-                records.append(
-                    {
-                        "type": "arrangement",
-                        "instance": i,
-                        "choices": dict(inst.choices),
-                        "release_order": list(arr.release_order),
-                        "slots": [list(slot) for slot in arr.slots],
-                        "count": count,
-                        "min_cost": None,
-                        "constraint_cost": None,
-                        "authorization_cost": None,
-                        "witness": None,
-                    }
-                )
+                records.append(reports.arrangement_record(i, inst, arr, count))
         totals = {
             "instances": len(instances),
             "arrangements": len(records),
@@ -247,11 +234,12 @@ def _run_enumerate(args, started: float) -> int:
         }
     else:
         cap = args.limit if args.limit is not None else DEFAULT_SEQUENCE_CAP
-        total = 0
+        total = sum(sequence_count(inst.ast) for inst in instances)
+        if total > cap:
+            raise SizeLimit(f"{total} execution sequences exceed cap {cap}", total, cap)
         for i, inst in enumerate(instances):
             for s in gen_sequences(inst.ast, cap=cap):
                 records.append({"type": "sequence", "instance": i, "elements": list(s)})
-            total += sequence_count(inst.ast)
         totals = {"instances": len(instances), "arrangements": None, "sequences": total}
     _emit(
         reports.build_report(

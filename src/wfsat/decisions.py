@@ -1,18 +1,21 @@
 """Top-level decision procedures under the uniform sequence distribution.
 
 Every procedure runs the same pipeline once: eliminate xor branchings,
-enumerate the execution arrangements of each xor-free instance, and solve
-one Valued WSP per arrangement while counting the sequences in its class.
-The aggregates then answer strong satisfiability (every arrangement at
-cost zero), bounded cost (max cost within budget), bounded expected cost
-(sequence-weighted mean within budget, in exact rational arithmetic) and
-the probability of completing within budget.
+enumerate the execution arrangements of each xor-free instance, count the
+sequences in each arrangement's class, and solve one Valued WSP per cost
+signature (arrangements of an instance with equal signatures share their
+minimum-cost plan).  The aggregates then answer strong satisfiability
+(every arrangement at cost zero), bounded cost (max cost within budget),
+bounded expected cost (sequence-weighted mean within budget, in exact
+rational arithmetic) and the probability of completing within budget.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .arrangements import (
     Arrangement,
@@ -23,7 +26,7 @@ from .arrangements import (
 )
 from .errors import ZeroWeight
 from .model import Schema
-from .solver import CostedPlan, SolveCache, min_cost_arrangement
+from .solver import CostedPlan, SolveCache, min_cost_arrangement, signature_function
 
 
 @dataclass
@@ -73,21 +76,34 @@ class Analysis:
 def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     """Run the full pipeline; records come out in canonical order.
 
-    The analysis is serial.  ``jobs`` is accepted for compatibility and
+    Arrangements of one instance with equal cost signatures share one
+    minimum-cost plan, so it is computed once per signature.  The
+    analysis is serial.  ``jobs`` is accepted for compatibility and
     ignored.
     """
     instances = eliminate_xor(schema.workflow)
     cache = SolveCache()
-    records = [
-        ArrangementRecord(
-            instance_index=i,
-            arrangement=arrangement,
-            count=count_sequences(arrangement),
-            solution=min_cost_arrangement(arrangement, schema, cache),
-        )
-        for i, instance in enumerate(instances)
-        for arrangement in enumerate_arrangements(instance)
-    ]
+    records = []
+    for i, instance in enumerate(instances):
+        by_signature: dict[tuple[int, ...], CostedPlan] = {}
+        arrangements = enumerate_arrangements(instance)
+        for order, group in itertools.groupby(arrangements, attrgetter("release_order")):
+            signature = signature_function(order, schema)
+            for arrangement in group:
+                key = signature(arrangement)
+                solution = by_signature.get(key)
+                if solution is None:
+                    solution = by_signature[key] = min_cost_arrangement(
+                        arrangement, schema, cache
+                    )
+                records.append(
+                    ArrangementRecord(
+                        instance_index=i,
+                        arrangement=arrangement,
+                        count=count_sequences(arrangement),
+                        solution=solution,
+                    )
+                )
     return Analysis(
         schema=schema,
         instances=instances,

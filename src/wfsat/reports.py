@@ -30,25 +30,35 @@ def _choices(instance) -> dict[str, str]:
     return dict(instance.choices)
 
 
+def arrangement_record(
+    instance_index: int, instance, arrangement, count: int, solution=None
+) -> dict:
+    """One arrangement as a report record; cost fields are None without a solution."""
+    return {
+        "type": "arrangement",
+        "instance": instance_index,
+        "choices": _choices(instance),
+        "release_order": list(arrangement.release_order),
+        "slots": [list(slot) for slot in arrangement.slots],
+        "count": count,
+        "min_cost": None if solution is None else solution.total,
+        "constraint_cost": None if solution is None else solution.constraint_weight,
+        "authorization_cost": None if solution is None else solution.authorization_weight,
+        "witness": None if solution is None else dict(solution.plan),
+    }
+
+
 def arrangement_records(analysis: Analysis) -> list[dict]:
-    out = []
-    for record in analysis.records:
-        instance = analysis.instances[record.instance_index]
-        out.append(
-            {
-                "type": "arrangement",
-                "instance": record.instance_index,
-                "choices": _choices(instance),
-                "release_order": list(record.arrangement.release_order),
-                "slots": [list(slot) for slot in record.arrangement.slots],
-                "count": record.count,
-                "min_cost": record.min_cost,
-                "constraint_cost": record.solution.constraint_weight,
-                "authorization_cost": record.solution.authorization_weight,
-                "witness": dict(record.solution.plan),
-            }
+    return [
+        arrangement_record(
+            record.instance_index,
+            analysis.instances[record.instance_index],
+            record.arrangement,
+            record.count,
+            record.solution,
         )
-    return out
+        for record in analysis.records
+    ]
 
 
 def analysis_totals(analysis: Analysis) -> dict:

@@ -69,6 +69,18 @@ class CostedPlan:
         return self.constraint_weight + self.authorization_weight
 
 
+def _segment_of_slot(
+    release_order: tuple[str, ...], constraint: WeightedConstraint
+) -> list[int]:
+    """The segment of the constraint each slot falls in: the number of the
+    constraint's release points placed before the slot."""
+    wanted = set(constraint.release)
+    out = [0]
+    for r in release_order:
+        out.append(out[-1] + (r in wanted))
+    return out
+
+
 def decompose_constraint(
     constraint: WeightedConstraint, arrangement: Arrangement, schema: Schema
 ) -> list[ClassicalConstraint]:
@@ -80,15 +92,10 @@ def decompose_constraint(
     drop out by intersection; vacuous subscopes are omitted.
     """
     bound, k = constraint.bound()
-    wanted = set(constraint.release)
-    cut_after = [i for i, r in enumerate(arrangement.release_order) if r in wanted]
-
-    segments: list[list[str]] = []
-    start = 0
-    for pos in cut_after:
-        segments.append([s for slot in arrangement.slots[start : pos + 1] for s in slot])
-        start = pos + 1
-    segments.append([s for slot in arrangement.slots[start:] for s in slot])
+    segment_of_slot = _segment_of_slot(arrangement.release_order, constraint)
+    segments: list[list[str]] = [[] for _ in range(segment_of_slot[-1] + 1)]
+    for slot, i in zip(arrangement.slots, segment_of_slot):
+        segments[i].extend(slot)
 
     scope = set(constraint.scope)
     out: list[ClassicalConstraint] = []
@@ -109,6 +116,41 @@ def decompose_constraint(
             )
         )
     return out
+
+
+def cost_signature(arrangement: Arrangement, schema: Schema) -> tuple[int, ...]:
+    """The coarse part of an arrangement that fixes its minimum-cost plan.
+
+    For each constraint, one entry per scope step of the arrangement: the
+    number of the constraint's release points placed before the step's
+    slot, which is the index of the segment :func:`decompose_constraint`
+    puts the step in.  The signature therefore fixes the classical
+    constraints decomposition yields, in order (a segment is vacuous
+    exactly when it holds no scope step, or too few for its bound).
+    Together with the step set, which is the instance's, it fixes the
+    components and the canonical witness of :func:`min_cost_arrangement`.
+    The per-constraint entries are concatenated in constraint order; each
+    constraint contributes a fixed number of them within one instance.
+    """
+    return signature_function(arrangement.release_order, schema)(arrangement)
+
+
+def signature_function(release_order: tuple[str, ...], schema: Schema):
+    """:func:`cost_signature` for arrangements with this release order.
+
+    The segment index of each slot, per constraint, is computed once here
+    rather than once per arrangement.
+    """
+    entries: list[tuple[list[int], str]] = []
+    for c in schema.constraints:
+        segment_of_slot = _segment_of_slot(release_order, c)
+        entries.extend((segment_of_slot, s) for s in c.scope)
+
+    def signature(arrangement: Arrangement) -> tuple[int, ...]:
+        slot_of = {s: d for d, slot in enumerate(arrangement.slots) for s in slot}
+        return tuple(segments[slot_of[s]] for segments, s in entries if s in slot_of)
+
+    return signature
 
 
 def iter_partitions(items, max_blocks: int):

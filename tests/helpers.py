@@ -12,6 +12,7 @@ import io
 import itertools
 from math import comb
 
+from wfsat.arrangements import Arrangement, XorFreeInstance
 from wfsat.cli import main
 from wfsat.model import Poset, Schema, violation_units
 
@@ -72,3 +73,55 @@ def exhaustive_min_plan(schema: Schema) -> int:
         if best is None or cost < best:
             best = cost
     return best
+
+
+def arrangements_by_filter(instance: XorFreeInstance) -> list[Arrangement]:
+    """All arrangements of an instance, by product-and-filter over slot vectors.
+
+    Same canonical order as ``enumerate_arrangements``: valid release
+    permutations lexicographically, then every slot vector in the per-step
+    feasible intervals in mixed-radix order, rejecting those that place a
+    step after a successor.
+    """
+    poset = instance.poset
+    releases = list(instance.releases)
+    steps = list(instance.steps)
+    q = len(releases) + 1
+    order_pairs = [
+        (i, j)
+        for i, a in enumerate(steps)
+        for j, b in enumerate(steps)
+        if i != j and poset.less(a, b)
+    ]
+    out: list[Arrangement] = []
+    for perm in itertools.permutations(releases):
+        if any(
+            poset.less(perm[j], perm[i]) for i in range(len(perm)) for j in range(i + 1, len(perm))
+        ):
+            continue
+        ranges = []
+        for s in steps:
+            lo, hi = 0, q - 1
+            for j, r in enumerate(perm):
+                if poset.less(r, s):
+                    lo = max(lo, j + 1)
+                if poset.less(s, r):
+                    hi = min(hi, j)
+            if lo > hi:
+                break
+            ranges.append(range(lo, hi + 1))
+        else:
+            for digits in itertools.product(*ranges):
+                if any(digits[i] > digits[j] for i, j in order_pairs):
+                    continue
+                slots: list[list[str]] = [[] for _ in range(q)]
+                for s, d in zip(steps, digits):
+                    slots[d].append(s)
+                out.append(
+                    Arrangement(
+                        release_order=tuple(perm),
+                        slots=tuple(tuple(slot) for slot in slots),
+                        owner=instance,
+                    )
+                )
+    return out

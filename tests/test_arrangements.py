@@ -21,6 +21,7 @@ from wfsat.sequences import (
     sequence_count,
 )
 
+from helpers import arrangements_by_filter
 from randgen import random_schema, random_tree
 
 EXPECTED_ARRANGEMENTS = [
@@ -111,6 +112,17 @@ class TestEnumerateArrangements:
             for a in enumerate_arrangements(inst)
         }
         assert got == {(row[0], row[1]): row[2] for row in EXPECTED_ARRANGEMENTS}
+
+    def test_matches_product_and_filter_reference(
+        self, small_corpus, purchase_order, purchase_order_restricted, purchase_order_no_release
+    ):
+        # Element for element and in order, including larger schemas where
+        # the reference rejects most of the vectors it tries.
+        schemas = small_corpus + [purchase_order, purchase_order_restricted, purchase_order_no_release]
+        schemas += [random_schema(seed, max_steps=10, max_releases=3, max_effort=None) for seed in (2, 4)]
+        for schema in schemas:
+            for inst in eliminate_xor(schema.workflow):
+                assert enumerate_arrangements(inst) == arrangements_by_filter(inst)
 
     def test_emitted_arrangements_satisfy_invariants(self, small_corpus):
         for schema in small_corpus[:30]:

@@ -121,6 +121,13 @@ class TestEnumerate:
         code, _ = run_cli("enumerate", "--what", "sequences", "--limit", "2", PO)
         assert code == 3
 
+    def test_sequence_cap_counts_every_instance(self):
+        # Each instance alone fits under 5; together they hold 7 sequences.
+        code, out = run_cli("enumerate", "--what", "sequences", "--limit", "5", PO)
+        assert (code, out) == (3, "")
+        code, report = run_json("enumerate", "--what", "sequences", "--limit", "7", PO)
+        assert code == 0 and len(report["records"]) == report["totals"]["sequences"] == 7
+
 
 class TestOracleVerb:
     @pytest.mark.parametrize(

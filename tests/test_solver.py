@@ -23,6 +23,7 @@ from wfsat.solver import (
     ClassicalConstraint,
     Partition,
     SolveCache,
+    cost_signature,
     decompose_constraint,
     iter_partitions,
     min_auth_weight,
@@ -340,6 +341,48 @@ class TestMinCostArrangement:
         assert cache.hits > 0
         redo = analyze(purchase_order_restricted)
         assert [r.min_cost for r in no_cache.records] == [r.min_cost for r in redo.records]
+
+
+class TestCostSignature:
+    @pytest.fixture
+    def schemas(
+        self, small_corpus, purchase_order, purchase_order_restricted, purchase_order_no_release
+    ):
+        return small_corpus + [purchase_order, purchase_order_restricted, purchase_order_no_release]
+
+    def test_equal_signatures_have_equal_plans(self, schemas):
+        # The invariant analyze's memo relies on, witness included.
+        for schema in schemas:
+            for inst in eliminate_xor(schema.workflow):
+                seen = {}
+                for arr in enumerate_arrangements(inst):
+                    got = min_cost_arrangement(arr, schema, cache=None)
+                    first = seen.setdefault(cost_signature(arr, schema), got)
+                    assert got == first
+                    assert list(got.plan.items()) == list(first.plan.items())
+
+    def test_analyze_records_match_uncached_solves(self, schemas):
+        for schema in schemas:
+            for record in analyze(schema).records:
+                assert record.solution == min_cost_arrangement(record.arrangement, schema, cache=None)
+
+    def test_crossing_a_release_point_changes_signature(self, purchase_order_restricted):
+        schema = purchase_order_restricted
+        by_slots = {
+            arr.slots: arr
+            for inst in eliminate_xor(schema.workflow)
+            for arr in enumerate_arrangements(inst)
+        }
+        # s4 before or after r: the payment SoD is released only after r.
+        pairs = [
+            ((("s1", "s2", "s3", "s5"), ("s4", "s6")), (("s1", "s2", "s3", "s5", "s4"), ("s6",))),
+            ((("s1", "s2", "s3p"), ("s4", "s6")), (("s1", "s2", "s3p", "s4"), ("s6",))),
+        ]
+        for after, before in pairs:
+            released, blocked = by_slots[after], by_slots[before]
+            assert min_cost_arrangement(released, schema).total == 0
+            assert min_cost_arrangement(blocked, schema).total == 5
+            assert cost_signature(released, schema) != cost_signature(blocked, schema)
 
 
 def _key_of(sequence, releases):
