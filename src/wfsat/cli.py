@@ -9,7 +9,8 @@ One binary, orthogonal verbs:
 * ``min-budget`` smallest budget for bounded | expected
 * ``export-dot`` workflow DAG for visualization
 
-Reports are canonical JSON on stdout; diagnostics go to stderr.  Exit
+Reports are canonical JSON streamed to stdout; diagnostics go to stderr.
+A reader that closes the pipe early ends the output quietly.  Exit
 codes: 0 decision yes (or success), 1 decision no, 2 usage/parse error,
 3 enumeration size limit.  Timings are opt-in (``--timings``) so that
 reports stay byte-identical across runs.
@@ -18,6 +19,8 @@ reports stay byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
 import time
 from fractions import Fraction
@@ -31,7 +34,7 @@ from .errors import (
     WfsatError,
     ZeroWeight,
 )
-from .io import canonical_json, export_dot, load_schema
+from .io import export_dot, iter_canonical_json, load_schema
 from .sequences import DEFAULT_SEQUENCE_CAP, gen_sequences, sequence_count
 
 
@@ -148,7 +151,25 @@ def _probability_of(args, schema, required: bool) -> Fraction | None:
 
 
 def _emit(report: dict) -> None:
-    sys.stdout.write(canonical_json(report))
+    _write(iter_canonical_json(report))
+
+
+def _write(pieces) -> None:
+    """Write text pieces to stdout; a closed pipe ends the output quietly."""
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point the descriptor at devnull so that the
+        # flush at shutdown cannot fail again (see "Note on SIGPIPE" in the
+        # signal module's docs); an in-process stream may have none.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except io.UnsupportedOperation:
+            pass
+        finally:
+            os.close(devnull)
 
 
 def _seconds(args, started: float) -> float | None:
@@ -203,43 +224,46 @@ def _run_solve(args, started: float) -> int:
 def _run_enumerate(args, started: float) -> int:
     schema = load_schema(args.file)
     instances = eliminate_xor(schema.workflow)
-    records: list[dict] = []
     if args.what == "instances":
-        for i, inst in enumerate(instances):
-            records.append(
-                {
-                    "type": "instance",
-                    "instance": i,
-                    "choices": dict(inst.choices),
-                    "steps": list(inst.steps),
-                    "releases": list(inst.releases),
-                }
-            )
+        records = [
+            {
+                "type": "instance",
+                "instance": i,
+                "choices": dict(inst.choices),
+                "steps": list(inst.steps),
+                "releases": list(inst.releases),
+            }
+            for i, inst in enumerate(instances)
+        ]
         totals = {
             "instances": len(instances),
             "arrangements": None,
             "sequences": sum(sequence_count(inst.ast) for inst in instances),
         }
     elif args.what == "arrangements":
-        total_sequences = 0
-        for i, inst in enumerate(instances):
-            for arr in enumerate_arrangements(inst):
-                count = count_sequences(arr)
-                total_sequences += count
-                records.append(reports.arrangement_record(i, inst, arr, count))
+        # Totals come from a pre-pass; the records are built as they are written.
+        rows = [
+            (i, inst, arr, count_sequences(arr))
+            for i, inst in enumerate(instances)
+            for arr in enumerate_arrangements(inst)
+        ]
+        records = reports.Records(rows, lambda row: reports.arrangement_record(*row))
         totals = {
             "instances": len(instances),
-            "arrangements": len(records),
-            "sequences": total_sequences,
+            "arrangements": len(rows),
+            "sequences": sum(count for *_, count in rows),
         }
     else:
         cap = args.limit if args.limit is not None else DEFAULT_SEQUENCE_CAP
         total = sum(sequence_count(inst.ast) for inst in instances)
         if total > cap:
             raise SizeLimit(f"{total} execution sequences exceed cap {cap}", total, cap)
-        for i, inst in enumerate(instances):
-            for s in gen_sequences(inst.ast, cap=cap):
-                records.append({"type": "sequence", "instance": i, "elements": list(s)})
+        rows = [
+            (i, s) for i, inst in enumerate(instances) for s in gen_sequences(inst.ast, cap=cap)
+        ]
+        records = reports.Records(
+            rows, lambda row: {"type": "sequence", "instance": row[0], "elements": list(row[1])}
+        )
         totals = {"instances": len(instances), "arrangements": None, "sequences": total}
     _emit(
         reports.build_report(
@@ -301,7 +325,7 @@ def _run_min_budget(args, started: float) -> int:
 
 def _run_export_dot(args, started: float) -> int:
     schema = load_schema(args.file)
-    sys.stdout.write(export_dot(schema.workflow))
+    _write([export_dot(schema.workflow)])
     return 0
 
 

@@ -5,6 +5,11 @@ and fails loudly; writing emits a canonical form: n-ary composition
 lists, sorted object keys, authorization lists in user order, scopes in
 workflow order, and exact rationals rendered as "p" or "p/q" strings.
 One parse/write pass canonicalizes any valid file byte-stably.
+
+The same canonical JSON form (two-space indent, sorted keys, ASCII
+escapes) renders reports.  :func:`iter_canonical_json` streams it as
+text pieces, at most about one per array element, so a report whose
+records are drawn lazily is written without ever being held whole.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import SchemaSemanticError, SchemaSyntaxError
 from .model import (
@@ -47,7 +53,101 @@ _TOP_KEYS = {
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The whole canonical text of ``payload`` as one string."""
+    return "".join(iter_canonical_json(payload))
+
+
+def iter_canonical_json(payload):
+    """Yield the canonical JSON text of ``payload`` piece by piece.
+
+    The pieces join to ``json.dumps(payload, indent=2, sort_keys=True)``
+    plus a newline, byte for byte.  Objects are streamed key by key and
+    arrays element by element, each element rendered whole, so records
+    drawn from an iterator are built and written one at a time.  Any
+    non-dict iterable renders as an array; a non-``str`` key raises
+    ``TypeError`` (``encode_basestring_ascii`` accepts nothing else).
+    """
+    yield from _stream(payload, "\n")
+    yield "\n"
+
+
+def _stream(value, pad: str):
+    if value is None or isinstance(value, (str, int, float)):
+        yield _render(value, pad)
+        return
+    inner = pad + "  "
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            yield sep + _quote(key) + ": "
+            yield from _stream(item, inner)
+            sep = "," + inner
+        yield "{}" if sep[0] == "{" else pad + "}"
+    else:
+        sep = "[" + inner
+        for item in _items(value):
+            yield sep + _render(item, inner)
+            sep = "," + inner
+        yield "[]" if sep[0] == "[" else pad + "]"
+
+
+def _render(value, pad: str) -> str:
+    """Canonical text of ``value`` nested at the indent ``pad`` ends with."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        parts = [
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _render(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        parts = [_quote(v) if type(v) is str else _render(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    # The rest, tested in json's order: subclasses, constants, floats and
+    # iterables other than lists and tuples.
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    if isinstance(value, dict):
+        return _render(dict(value), pad)
+    return _render(list(_items(value)), pad)
+
+
+def _float(value: float) -> str:
+    # json's float text: repr, with its names for the non-finite values.
+    if value != value:
+        return "NaN"
+    if value == float("inf"):
+        return "Infinity"
+    if value == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _items(value):
+    try:
+        return iter(value)
+    except TypeError:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable") from None
 
 
 def parse_ccws(text: str) -> Schema:

@@ -1,13 +1,16 @@
 """Machine-readable report construction for the command-line surface.
 
-Reports are plain JSON-serializable dicts rendered through
-:func:`wfsat.io.canonical_json`, so identical analyses produce identical
-bytes.  The shape is published as a JSON Schema in ``report-schema.json``
-next to this module.
+Reports are plain dicts rendered through :func:`wfsat.io.iter_canonical_json`,
+so identical analyses produce identical bytes, and streamed: arrangement
+and sequence records are :class:`Records`, sized and lazy, built one
+record at a time as the report is written, so a report is never held
+whole in memory.  The shape is published as a JSON Schema in
+``report-schema.json`` next to this module.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from importlib import resources
 
@@ -48,17 +51,35 @@ def arrangement_record(
     }
 
 
-def arrangement_records(analysis: Analysis) -> list[dict]:
-    return [
-        arrangement_record(
+class Records:
+    """Report records built lazily, one per row of ``rows``.
+
+    ``len()`` is ``len(rows)``; each iteration maps ``build`` over the rows
+    afresh, so a record exists only while it is being written.
+    """
+
+    def __init__(self, rows: Sequence, build: Callable[..., dict]):
+        self._rows = rows
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(self._build, self._rows)
+
+
+def arrangement_records(analysis: Analysis) -> Records:
+    def build(record) -> dict:
+        return arrangement_record(
             record.instance_index,
             analysis.instances[record.instance_index],
             record.arrangement,
             record.count,
             record.solution,
         )
-        for record in analysis.records
-    ]
+
+    return Records(analysis.records, build)
 
 
 def analysis_totals(analysis: Analysis) -> dict:
@@ -80,7 +101,7 @@ def analysis_aggregates(analysis: Analysis, budget: Fraction | None) -> dict:
 def build_report(
     problem: str,
     *,
-    records: list[dict],
+    records: Records | list[dict],
     totals: dict,
     answer: bool | None = None,
     value=None,

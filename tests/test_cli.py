@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -8,9 +10,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from wfsat.cli import main
+from wfsat.io import save_schema
 from wfsat.reports import report_schema
 
 from helpers import run_cli
+from randgen import random_schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RESTRICTED = str(FIXTURES / "purchase_order_restricted.json")
@@ -207,6 +212,60 @@ class TestErrors:
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(doc))
         assert run_cli("check", "--mode", "strong", str(path))[0] == 2
+
+
+class _ClosingStdout(io.StringIO):
+    """A stdout whose reader goes away after ``limit`` characters."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text: str) -> int:
+        if self.tell() + len(text) > self.limit:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            (("check", "--mode", "bounded", "--budget", "4", RESTRICTED), 1),
+            (("solve", RESTRICTED), 0),
+            (("export-dot", RESTRICTED), 0),
+        ],
+    )
+    def test_in_process_stream_keeps_the_verbs_exit_code(self, args, expected):
+        out, err = _ClosingStdout(limit=40), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(args))
+        assert (code, err.getvalue()) == (expected, "")
+        assert len(out.getvalue()) <= 40
+
+    def test_pipe_closed_by_reader_exits_quietly(self, tmp_path):
+        # The report must outgrow the pipe buffer (64 KiB on Linux) so
+        # that the writer is still writing when the reader goes away.
+        path = tmp_path / "big.json"
+        schema = random_schema(4, max_effort=None, max_steps=8, max_releases=2, max_xors=1)
+        save_schema(schema, path)
+        _, report = run_cli("solve", str(path))
+        assert len(report) > 65536
+        # Writing more after main() returns checks that stdout now goes to
+        # devnull, so that nothing can fail at the flush on shutdown either.
+        script = (
+            "import sys; from wfsat.cli import main; "
+            "c = main(sys.argv[1:]); print(1); sys.exit(c)"
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", script, "solve", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.read(10) == report[:10].encode()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        assert (proc.returncode, stderr) == (0, b"")
 
 
 class TestDeterminism:

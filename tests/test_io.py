@@ -1,16 +1,29 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wfsat import decisions, reports
 from wfsat.errors import SchemaSemanticError, SchemaSyntaxError
-from wfsat.io import export_dot, parse_ccws, write_ccws
+from wfsat.io import (
+    canonical_json,
+    export_dot,
+    iter_canonical_json,
+    load_schema,
+    parse_ccws,
+    write_ccws,
+)
 from wfsat.model import Schema, par, seq, step
 
+from helpers import run_cli
 from randgen import corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -138,6 +151,144 @@ class TestRoundTrip:
         assert '"budget": "25/7"' in write_ccws(schema)
         round_tripped = parse_ccws(write_ccws(schema))
         assert round_tripped.budget == Fraction(25, 7)
+
+
+def json_dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+_TEXT = st.text(
+    st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600')
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1, -1, 2**64, -(2**70), 10**300])
+    | st.integers()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e-300, 0.1])
+    | st.floats()
+    | _TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_TEXT, inner),
+    max_leaves=30,
+)
+
+
+def as_iterators(value):
+    """``value`` with every list and tuple replaced by a one-shot iterator."""
+    if isinstance(value, dict):
+        return {k: as_iterators(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return (as_iterators(v) for v in value)
+    return value
+
+
+def arrangement_shaped(i: int) -> dict:
+    steps = [f"s{j}" for j in range(12)]
+    return {
+        "type": "arrangement",
+        "instance": i % 3,
+        "choices": {"$.0.1": "left"},
+        "release_order": ["r2", "r1", "r3"],
+        "slots": [steps[:3], steps[3:8], [], steps[8:]],
+        "count": 60 + i,
+        "min_cost": i % 7,
+        "constraint_cost": 0,
+        "authorization_cost": i % 7,
+        "witness": {s: f"u{(i + j) % 5}" for j, s in enumerate(steps)},
+    }
+
+
+class TestCanonicalJson:
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES)
+    def test_matches_json_dumps_byte_for_byte(self, value):
+        assert canonical_json(value) == json_dumps(value)
+        assert "".join(iter_canonical_json(value)) == json_dumps(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_VALUES)
+    def test_iterators_render_like_lists(self, value):
+        assert canonical_json(as_iterators(value)) == json_dumps(value)
+
+    def test_empty_containers_at_depth(self):
+        value = {"a": [[], {}, [[{}]], {"b": {"c": []}}], "d": {}, "e": ()}
+        assert canonical_json(value) == json_dumps(value)
+        assert canonical_json(as_iterators(value)) == json_dumps(value)
+
+    def test_booleans_beside_integers(self):
+        value = [True, 1, False, 0, None, {"t": True, "one": 1, "f": False, "zero": 0}]
+        assert canonical_json(value) == json_dumps(value)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, b"k", ("k",)])
+    def test_non_str_key_raises(self, key):
+        with pytest.raises(TypeError):
+            canonical_json({"outer": [{key: 1}]})
+        with pytest.raises(TypeError):
+            list(iter_canonical_json({key: 1}))
+
+    def test_unserializable_value_raises(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            canonical_json({"x": Fraction(1, 2)})
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "--mode", "strong"),
+            ("check", "--mode", "bounded"),
+            ("check", "--mode", "expected"),
+            ("check", "--mode", "approx"),
+            ("solve",),
+            ("enumerate", "--what", "instances"),
+            ("enumerate", "--what", "arrangements"),
+            ("enumerate", "--what", "sequences"),
+            ("oracle", "--mode", "strong"),
+            ("oracle", "--mode", "bounded"),
+            ("oracle", "--mode", "expected"),
+            ("oracle", "--mode", "approx"),
+            ("min-budget", "--mode", "bounded"),
+            ("min-budget", "--mode", "expected"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "name", ["purchase_order.json", "purchase_order_restricted.json", "purchase_order_no_release.json"]
+    )
+    def test_cli_reports_are_json_dumps_text(self, args, name):
+        code, out = run_cli(*args, "--budget", "5", "--prob", "1/2", str(FIXTURES / name))
+        assert code in (0, 1)
+        assert out == json_dumps(json.loads(out))
+
+
+class TestStreaming:
+    def test_peak_memory_is_a_small_fraction_of_the_output(self):
+        n = 20_000
+        report = {
+            "problem": "solve",
+            "totals": {"arrangements": n},
+            "records": reports.Records(range(n), arrangement_shaped),
+        }
+        tracemalloc.start()
+        try:
+            written = 0
+            for piece in iter_canonical_json(report):
+                written += len(piece)  # a sink that discards what it is given
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert written > 10_000_000
+        assert peak < written / 20
+
+    def test_arrangement_records_are_sized_and_reiterable(self):
+        analysis = decisions.analyze(load_schema(FIXTURES / "purchase_order.json"))
+        records = reports.arrangement_records(analysis)
+        assert len(records) == len(analysis.records) == 4
+        first = list(records)
+        assert first == list(records)
+        assert [r["count"] for r in first] == [r.count for r in analysis.records]
 
 
 def dot_vertices(text: str) -> set[str]:
