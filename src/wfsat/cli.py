@@ -35,7 +35,7 @@ from .errors import (
     ZeroWeight,
 )
 from .io import export_dot, iter_canonical_json, load_schema
-from .sequences import DEFAULT_SEQUENCE_CAP, gen_sequences, sequence_count
+from .sequences import DEFAULT_SEQUENCE_CAP, iter_sequences, sequence_count
 
 
 class _UsageError(Exception):
@@ -258,11 +258,9 @@ def _run_enumerate(args, started: float) -> int:
         total = sum(sequence_count(inst.ast) for inst in instances)
         if total > cap:
             raise SizeLimit(f"{total} execution sequences exceed cap {cap}", total, cap)
-        rows = [
-            (i, s) for i, inst in enumerate(instances) for s in gen_sequences(inst.ast, cap=cap)
-        ]
         records = reports.Records(
-            rows, lambda row: {"type": "sequence", "instance": row[0], "elements": list(row[1])}
+            _SequenceRows(instances, total),
+            lambda row: {"type": "sequence", "instance": row[0], "elements": list(row[1])},
         )
         totals = {"instances": len(instances), "arrangements": None, "sequences": total}
     _emit(
@@ -274,6 +272,19 @@ def _run_enumerate(args, started: float) -> int:
         )
     )
     return 0
+
+
+class _SequenceRows:
+    """(instance index, sequence) rows, generated afresh on each iteration."""
+
+    def __init__(self, instances, total: int):
+        self.instances, self.total = instances, total
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __iter__(self):
+        return ((i, s) for i, inst in enumerate(self.instances) for s in iter_sequences(inst.poset))
 
 
 def _run_oracle(args, started: float) -> int:

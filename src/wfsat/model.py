@@ -21,8 +21,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Union
 
-import numpy as np
-
 from .errors import XorPresent
 
 Plan = dict[str, str]
@@ -168,52 +166,25 @@ def exclusive_pairs(node: CompositionNode) -> set[frozenset[str]]:
 # Partial orders
 
 
+@dataclass(frozen=True)
 class Poset:
     """Strict partial order over a fixed element list.
 
     ``elements`` is a canonical linear extension (the workflow's
-    left-to-right leaf order); ``lt`` is the full reachability matrix,
-    ``lt[i, j]`` iff element i must precede element j.
+    left-to-right leaf order).  ``successors[i]`` is a bitmask over element
+    indices: bit j is set iff element i must precede element j.
     """
 
-    __slots__ = ("elements", "index", "lt")
+    elements: tuple[str, ...]
+    successors: tuple[int, ...]
 
-    def __init__(self, elements: tuple[str, ...], lt: np.ndarray):
-        self.elements = tuple(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        lt = np.asarray(lt, dtype=bool)
-        if lt.shape != (len(self.elements), len(self.elements)):
-            raise ValueError("reachability matrix shape mismatch")
-        lt.setflags(write=False)
-        self.lt = lt
-
-    def __contains__(self, element: str) -> bool:
-        return element in self.index
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poset)
-            and self.elements == other.elements
-            and bool(np.array_equal(self.lt, other.lt))
-        )
-
-    def __hash__(self):  # matrices are not hashable; identity is enough
-        return hash(self.elements)
-
-    def __repr__(self) -> str:
-        rels = [
-            f"{a}<{b}"
-            for i, a in enumerate(self.elements)
-            for j, b in enumerate(self.elements)
-            if self.lt[i, j]
-        ]
-        return f"Poset({list(self.elements)}, [{', '.join(rels)}])"
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {e: i for i, e in enumerate(self.elements)}
 
     def less(self, a: str, b: str) -> bool:
-        return bool(self.lt[self.index[a], self.index[b]])
+        index = self.index
+        return self.successors[index[a]] >> index[b] & 1 == 1
 
     def comparable(self, a: str, b: str) -> bool:
         return self.less(a, b) or self.less(b, a)
@@ -233,8 +204,7 @@ def compile_poset(node: CompositionNode) -> Poset:
     if not is_xor_free(node):
         raise XorPresent("cannot compile a poset while xor nodes remain")
     order = element_order(node)
-    n = len(order)
-    lt = np.zeros((n, n), dtype=bool)
+    successors = [0] * len(order)
     cursor = 0
 
     def visit(nd: CompositionNode) -> tuple[int, int]:
@@ -246,11 +216,13 @@ def compile_poset(node: CompositionNode) -> Poset:
         l0, l1 = visit(nd.left)
         r0, r1 = visit(nd.right)
         if isinstance(nd, Seq):
-            lt[l0:l1, r0:r1] = True
+            right = (1 << r1) - (1 << r0)
+            for i in range(l0, l1):
+                successors[i] |= right
         return l0, r1
 
     visit(node)
-    return Poset(order, lt)
+    return Poset(order, tuple(successors))
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@ order-preserving way.
 from __future__ import annotations
 
 from math import comb
+from typing import Iterator
 
 from .errors import NotInSequence, OverlapError, SizeLimit, XorPresent
 from .model import (
     CompositionNode,
     Par,
+    Poset,
     ReleaseLeaf,
     Seq,
     StepLeaf,
+    compile_poset,
     element_order,
-    is_xor_free,
 )
 
 Sequence = tuple[str, ...]
@@ -66,31 +68,33 @@ def gen_sequences(
     canonical element index (left-to-right leaf order), so reports built
     from it are byte-reproducible.
     """
-    if not is_xor_free(node):
-        raise XorPresent("gen_sequences requires an xor-free workflow")
-    total = sequence_count(node)
+    total = sequence_count(node)  # raises XorPresent on xor nodes
     if cap is not None and total > cap:
         raise SizeLimit(f"{total} execution sequences exceed cap {cap}", total, cap)
+    return list(iter_sequences(compile_poset(node)))
 
-    def gen(nd: CompositionNode) -> list[Sequence]:
-        if isinstance(nd, StepLeaf):
-            return [(nd.step,)]
-        if isinstance(nd, ReleaseLeaf):
-            return [(nd.release,)]
-        lefts = gen(nd.left)
-        rights = gen(nd.right)
-        if isinstance(nd, Seq):
-            return [l + r for l in lefts for r in rights]
-        out: list[Sequence] = []
-        for l in lefts:
-            for r in rights:
-                out.extend(interleave(l, r))
-        return out
 
-    index = {e: i for i, e in enumerate(element_order(node))}
-    seqs = gen(node)
-    seqs.sort(key=lambda s: tuple(index[x] for x in s))
-    return seqs
+def iter_sequences(poset: Poset) -> Iterator[Sequence]:
+    """The linear extensions of ``poset`` in the order of :func:`gen_sequences`.
+
+    Depth first: each position takes, in element order, every element
+    whose predecessors are all placed, so the extensions come out sorted
+    by canonical element index one at a time, never collected.
+    """
+    elements = poset.elements
+    preds = [
+        sum(1 << i for i, later in enumerate(poset.successors) if later >> j & 1)
+        for j in range(len(elements))
+    ]
+
+    def extend(prefix: Sequence, placed: int) -> Iterator[Sequence]:
+        if len(prefix) == len(elements):
+            yield prefix
+        for j, e in enumerate(elements):
+            if not placed >> j & 1 and preds[j] & placed == preds[j]:
+                yield from extend(prefix + (e,), placed | 1 << j)
+
+    return extend((), 0)
 
 
 def left(sequence: Sequence, v: str) -> Sequence:

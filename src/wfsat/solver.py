@@ -6,17 +6,14 @@ steps.  Because every supported constraint is user-independent, plan cost
 depends on the plan only through its kernel partition (which steps share
 a user), so the solver enumerates set partitions in restricted-growth
 order and completes each with an exact minimum-cost injective matching of
-blocks to users.
+blocks to users: one Hungarian run on lexicographically perturbed costs,
+so the matching's tie-break is canonical too.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import perm
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
+from math import inf
 
 from .arrangements import Arrangement
 from .errors import TooManyBlocks
@@ -27,11 +24,6 @@ from .model import (
     restricted_threshold,
     violation_units,
 )
-
-_BRUTE_FORCE_ASSIGNMENTS = 50_000
-"""Below this many injective assignments, plain enumeration beats the hungarian
-solver and yields the lexicographically first optimum for free."""
-
 
 @dataclass(frozen=True)
 class ClassicalConstraint:
@@ -202,7 +194,10 @@ def min_auth_weight(partition: Partition, schema: Schema) -> tuple[int, tuple[st
 
     Assigning a user without authorization for a step costs that step's
     unauthorized penalty.  Ties resolve to the lexicographically smallest
-    user-index vector over the blocks.
+    user-index vector over the blocks.  One Hungarian run on perturbed
+    costs ``cost[b][u] * U**B + u * U**(B - 1 - b)`` (B blocks, U users)
+    finds both: the second terms sum to the user-index vector read as a
+    base-U number, which is below ``U**B``, so they only break cost ties.
     """
     blocks = partition.blocks
     users = schema.users
@@ -217,40 +212,57 @@ def min_auth_weight(partition: Partition, schema: Schema) -> tuple[int, tuple[st
         ]
         for block in blocks
     ]
-    if perm(len(users), len(blocks)) <= _BRUTE_FORCE_ASSIGNMENTS:
-        best = None
-        best_assign = None
-        for assign in itertools.permutations(range(len(users)), len(blocks)):
-            total = sum(cost[b][u] for b, u in enumerate(assign))
-            if best is None or total < best:
-                best = total
-                best_assign = assign
-        return best, tuple(users[u] for u in best_assign)
-    return _hungarian_lex_min(cost, users)
+    n, m = len(blocks), len(users)
+    assign = linear_sum_assignment(
+        [[c * m**n + u * m ** (n - 1 - b) for u, c in enumerate(row)] for b, row in enumerate(cost)]
+    )
+    return sum(cost[b][u] for b, u in enumerate(assign)), tuple(users[u] for u in assign)
 
 
-def _hungarian_lex_min(cost, users) -> tuple[int, tuple[str, ...]]:
-    matrix = np.array(cost, dtype=np.int64)
-    rows, cols = linear_sum_assignment(matrix)
-    optimum = int(matrix[rows, cols].sum())
-    chosen: list[int] = []
-    fixed_cost = 0
-    free_cols = list(range(len(users)))
-    for b in range(len(cost)):
-        for u in free_cols:
-            rest = matrix[np.ix_(range(b + 1, len(cost)), [c for c in free_cols if c != u])]
-            remainder = 0
-            if rest.size:
-                r, c = linear_sum_assignment(rest)
-                remainder = int(rest[r, c].sum())
-            elif rest.shape[0]:
-                continue  # rows left but no columns: infeasible branch
-            if fixed_cost + int(matrix[b, u]) + remainder == optimum:
-                chosen.append(u)
-                fixed_cost += int(matrix[b, u])
-                free_cols.remove(u)
-                break
-    return optimum, tuple(users[u] for u in chosen)
+def linear_sum_assignment(cost) -> list[int]:
+    """The column of each row in a minimum-sum matching of rows to distinct columns.
+
+    ``cost`` is a rows x columns matrix of integers with rows <= columns.
+    The Hungarian method with potentials: each row in turn joins the
+    matching along a shortest augmenting path in reduced costs, in
+    O(rows**2 * columns) exact integer steps.  Row and column numbers in
+    the arrays below are one-based; column 0 stands for the row being added.
+    """
+    n, m = len(cost), len(cost[0])
+    row_pot = [0] * (n + 1)
+    col_pot = [0] * (m + 1)
+    row_of = [0] * (m + 1)  # row matched to each column, 0 for none
+    for i in range(1, n + 1):
+        row_of[0] = i
+        way = [0] * (m + 1)
+        slack = [inf] * (m + 1)
+        used = [False] * (m + 1)
+        j0 = 0
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            row, u0 = cost[i0 - 1], row_pot[i0]
+            delta, j1 = inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - u0 - col_pot[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    row_pot[row_of[j]] += delta
+                    col_pot[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    col_of = {row_of[j]: j - 1 for j in range(1, m + 1) if row_of[j]}
+    return [col_of[i] for i in range(1, n + 1)]
 
 
 def solve_vwsp(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import wfsat
 from wfsat.cli import main
 from wfsat.io import save_schema
 from wfsat.reports import report_schema
@@ -306,3 +308,11 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "5"
+
+
+def test_imports_need_neither_numpy_nor_scipy():
+    # wfsat and its CLI run on the standard library alone.
+    script = "import sys, wfsat, wfsat.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(wfsat.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")

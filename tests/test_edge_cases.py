@@ -1,5 +1,5 @@
 """Edge cases cutting across modules: empty slots, multi-release
-constraints, release-only workflows, and the large-user matching path."""
+constraints, release-only workflows, and the matching's tie-break."""
 
 from __future__ import annotations
 
@@ -10,8 +10,12 @@ from wfsat.arrangements import eliminate_xor, enumerate_arrangements
 from wfsat.decisions import analyze, check_approx, check_strong_sat
 from wfsat.model import Schema, WeightedConstraint, par, release, seq, step
 from wfsat.oracle import oracle_decide
-from wfsat.solver import Partition, decompose_constraint, min_auth_weight
-from wfsat.solver import _hungarian_lex_min
+from wfsat.solver import (
+    Partition,
+    decompose_constraint,
+    linear_sum_assignment,
+    min_auth_weight,
+)
 
 from helpers import bell
 from randgen import corpus
@@ -110,29 +114,59 @@ def test_partition_counter_hits_bell_exactly_with_enough_users():
     assert stats["partitions_visited"] == bell(4)
 
 
+def blocks_with_costs(cost):
+    """A partition and a schema whose block-to-user costs are ``cost``.
+
+    Entries lie in 0..7: block b holds three steps with penalties 1, 2
+    and 4, and user u may run the step of penalty ``2**k`` unless bit k of
+    ``cost[b][u]`` is set.
+    """
+    users = tuple(f"u{i}" for i in range(len(cost[0])))
+    blocks = tuple(tuple(f"b{b}p{k}" for k in range(3)) for b in range(len(cost)))
+    schema = Schema(
+        workflow=par(*(step(s) for block in blocks for s in block)),
+        users=users,
+        authorizations={
+            f"b{b}p{k}": frozenset(u for u, c in zip(users, row) if not c >> k & 1)
+            for b, row in enumerate(cost)
+            for k in range(3)
+        },
+        step_unauth_penalty={s: 1 << k for block in blocks for k, s in enumerate(block)},
+    )
+    return Partition(blocks), schema
+
+
 def test_hungarian_path_matches_enumeration():
-    # Forces the scipy-backed branch by checking it directly against the
-    # exhaustive lexicographic optimum on random rectangular matrices.
+    # The matching is one Hungarian run on lexicographically perturbed
+    # costs.  Check its value and user vector against the exhaustive
+    # lexicographic optimum on random rectangular matrices, on shapes from
+    # 6,720 to 60,480 injective assignments (5 x 11, 55,440, is the shape
+    # of the benchmark's 11-user schemas), and on the cost ranges {0} and
+    # {0, 1}, where the tie-break decides everything.
     rng = random.Random(123)
-    for _ in range(40):
-        blocks = rng.randint(1, 4)
-        n_users = rng.randint(blocks, 6)
-        users = tuple(f"u{i}" for i in range(n_users))
-        cost = [[rng.randint(0, 6) for _ in range(n_users)] for _ in range(blocks)]
-        got_value, got_users = _hungarian_lex_min(cost, users)
-        best = None
-        best_assign = None
-        for assign in itertools.permutations(range(n_users), blocks):
-            value = sum(cost[b][u] for b, u in enumerate(assign))
-            if best is None or value < best:
-                best, best_assign = value, assign
-        assert got_value == best
-        assert got_users == tuple(users[u] for u in best_assign)
+    shapes = [(b, rng.randint(b, 6)) for b in (rng.randint(1, 4) for _ in range(40))]
+    shapes += [(5, 8), (4, 10), (5, 10), (6, 9), (5, 11), (5, 11)]
+    for blocks, n_users in shapes:
+        for top in (0, 1, 7):
+            cost = [[rng.randint(0, top) for _ in range(n_users)] for _ in range(blocks)]
+            partition, schema = blocks_with_costs(cost)
+            got_value, got_users = min_auth_weight(partition, schema)
+            best = None
+            best_assign = None
+            for assign in itertools.permutations(range(n_users), blocks):
+                value = sum(cost[b][u] for b, u in enumerate(assign))
+                if best is None or value < best:
+                    best, best_assign = value, assign
+            assert got_value == best
+            assert got_users == tuple(schema.users[u] for u in best_assign)
+            plain = linear_sum_assignment(cost)
+            assert len(set(plain)) == blocks
+            assert sum(cost[b][u] for b, u in enumerate(plain)) == best
 
 
 def test_min_auth_weight_large_user_pool():
-    # 9 users, 2 blocks: beyond the brute-force threshold only if huge, so
-    # exercise correctness with an authorization pattern with a unique optimum.
+    # 9 users, 2 blocks: an authorization pattern with a unique optimum,
+    # away from the lexicographically first users.
     users = tuple(f"u{i}" for i in range(9))
     auth = {"a": frozenset(("u7",)), "b": frozenset(("u3",))}
     schema = Schema(

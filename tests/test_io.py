@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import re
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfsat import decisions, reports
+from wfsat.cli import main
 from wfsat.errors import SchemaSemanticError, SchemaSyntaxError
 from wfsat.io import (
     canonical_json,
@@ -19,6 +22,7 @@ from wfsat.io import (
     iter_canonical_json,
     load_schema,
     parse_ccws,
+    save_schema,
     write_ccws,
 )
 from wfsat.model import Schema, par, seq, step
@@ -187,6 +191,24 @@ def as_iterators(value):
     return value
 
 
+class _CountingSink:
+    """A text stream that counts what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+    def writelines(self, pieces) -> None:
+        for piece in pieces:
+            self.write(piece)
+
+    def flush(self) -> None:
+        pass
+
+
 def arrangement_shaped(i: int) -> dict:
     steps = [f"s{j}" for j in range(12)]
     return {
@@ -281,6 +303,36 @@ class TestStreaming:
             tracemalloc.stop()
         assert written > 10_000_000
         assert peak < written / 20
+
+    def test_cli_streams_sequences_in_bounded_memory(self, tmp_path):
+        # 8 parallel steps: 40,320 sequences, generated while they are written.
+        steps = [f"s{j}" for j in range(8)]
+        path = tmp_path / "parallel.json"
+        save_schema(
+            Schema(
+                workflow=par(*(step(s) for s in steps)),
+                users=("u1",),
+                authorizations={s: frozenset(("u1",)) for s in steps},
+            ),
+            path,
+        )
+        args = ["enumerate", "--what", "sequences", str(path)]
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written > 5_000_000
+        assert peak < sink.written / 20
+        _, out = run_cli(*args)
+        assert len(out) == sink.written
+        assert [tuple(r["elements"]) for r in json.loads(out)["records"]] == list(
+            itertools.permutations(steps)
+        )
 
     def test_arrangement_records_are_sized_and_reiterable(self):
         analysis = decisions.analyze(load_schema(FIXTURES / "purchase_order.json"))
