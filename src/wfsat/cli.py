@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from . import decisions, oracle, reports
 from .arrangements import count_sequences, eliminate_xor, enumerate_arrangements
+from .decisions import ArrangementRecord
 from .errors import (
     SchemaSemanticError,
     SchemaSyntaxError,
@@ -115,7 +116,10 @@ def _common(sub: argparse.ArgumentParser, jobs: bool = False, limit: bool = Fals
         )
     if limit:
         sub.add_argument(
-            "--limit", type=_positive_int, default=None, help="sequence cap for exhaustive paths"
+            "--limit",
+            type=_positive_int,
+            default=None,
+            help="sequence cap, read only by enumerate --what sequences and oracle",
         )
 
 
@@ -176,11 +180,25 @@ def _seconds(args, started: float) -> float | None:
     return time.perf_counter() - started if args.timings else None
 
 
+def _emit_analysis(args, started: float, problem: str, analysis, budget=None, **fields) -> None:
+    _emit(
+        reports.build_report(
+            problem,
+            budget=budget,
+            totals=reports.analysis_totals(analysis),
+            aggregates=reports.analysis_aggregates(analysis, budget),
+            records=reports.arrangement_records(analysis),
+            seconds=_seconds(args, started),
+            **fields,
+        )
+    )
+
+
 def _run_check(args, started: float) -> int:
     schema = load_schema(args.file)
-    analysis = decisions.analyze(schema)
     budget = _budget_of(args, schema, required=args.mode in ("bounded", "expected", "approx"))
     probability = _probability_of(args, schema, required=args.mode == "approx")
+    analysis = decisions.analyze(schema)
     if args.mode == "strong":
         answer, _ = decisions.check_strong_sat(analysis)
     elif args.mode == "bounded":
@@ -189,41 +207,30 @@ def _run_check(args, started: float) -> int:
         answer = decisions.check_expected_cost(analysis, budget)
     else:
         answer = decisions.check_approx(analysis, budget, probability)
-    _emit(
-        reports.build_report(
-            f"check-{args.mode}",
-            answer=answer,
-            budget=budget,
-            probability=probability if args.mode == "approx" else None,
-            totals=reports.analysis_totals(analysis),
-            aggregates=reports.analysis_aggregates(analysis, budget),
-            records=reports.arrangement_records(analysis),
-            seconds=_seconds(args, started),
-        )
+    _emit_analysis(
+        args,
+        started,
+        f"check-{args.mode}",
+        analysis,
+        budget,
+        answer=answer,
+        probability=probability if args.mode == "approx" else None,
     )
     return 0 if answer else 1
 
 
 def _run_solve(args, started: float) -> int:
     schema = load_schema(args.file)
-    analysis = decisions.analyze(schema)
     budget = _budget_of(args, schema, required=False)
-    _emit(
-        reports.build_report(
-            "solve",
-            budget=budget,
-            totals=reports.analysis_totals(analysis),
-            aggregates=reports.analysis_aggregates(analysis, budget),
-            records=reports.arrangement_records(analysis),
-            seconds=_seconds(args, started),
-        )
-    )
+    _emit_analysis(args, started, "solve", decisions.analyze(schema), budget)
     return 0
 
 
 def _run_enumerate(args, started: float) -> int:
     schema = load_schema(args.file)
     instances = eliminate_xor(schema.workflow)
+    total = sum(sequence_count(inst.ast) for inst in instances)
+    arrangements = None
     if args.what == "instances":
         records = [
             {
@@ -235,38 +242,27 @@ def _run_enumerate(args, started: float) -> int:
             }
             for i, inst in enumerate(instances)
         ]
-        totals = {
-            "instances": len(instances),
-            "arrangements": None,
-            "sequences": sum(sequence_count(inst.ast) for inst in instances),
-        }
     elif args.what == "arrangements":
-        # Totals come from a pre-pass; the records are built as they are written.
+        # Unsolved records, listed up front for their number; rendered as written.
         rows = [
-            (i, inst, arr, count_sequences(arr))
+            ArrangementRecord(i, arr, count_sequences(arr))
             for i, inst in enumerate(instances)
             for arr in enumerate_arrangements(inst)
         ]
-        records = reports.Records(rows, lambda row: reports.arrangement_record(*row))
-        totals = {
-            "instances": len(instances),
-            "arrangements": len(rows),
-            "sequences": sum(count for *_, count in rows),
-        }
+        records = reports.Records(rows, reports.arrangement_record)
+        arrangements = len(rows)
     else:
         cap = args.limit if args.limit is not None else DEFAULT_SEQUENCE_CAP
-        total = sum(sequence_count(inst.ast) for inst in instances)
         if total > cap:
             raise SizeLimit(f"{total} execution sequences exceed cap {cap}", total, cap)
         records = reports.Records(
             _SequenceRows(instances, total),
             lambda row: {"type": "sequence", "instance": row[0], "elements": list(row[1])},
         )
-        totals = {"instances": len(instances), "arrangements": None, "sequences": total}
     _emit(
         reports.build_report(
             f"enumerate-{args.what}",
-            totals=totals,
+            totals={"instances": len(instances), "arrangements": arrangements, "sequences": total},
             records=records,
             seconds=_seconds(args, started),
         )
@@ -315,22 +311,12 @@ def _run_oracle(args, started: float) -> int:
 
 
 def _run_min_budget(args, started: float) -> int:
-    schema = load_schema(args.file)
-    analysis = decisions.analyze(schema)
+    analysis = decisions.analyze(load_schema(args.file))
     if args.mode == "bounded":
         value = decisions.min_budget_bounded(analysis)
     else:
         value = decisions.min_budget_expected(analysis)
-    _emit(
-        reports.build_report(
-            f"min-budget-{args.mode}",
-            value=value,
-            totals=reports.analysis_totals(analysis),
-            aggregates=reports.analysis_aggregates(analysis, None),
-            records=reports.arrangement_records(analysis),
-            seconds=_seconds(args, started),
-        )
-    )
+    _emit_analysis(args, started, f"min-budget-{args.mode}", analysis, value=value)
     return 0
 
 

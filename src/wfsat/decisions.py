@@ -4,10 +4,12 @@ Every procedure runs the same pipeline once: eliminate xor branchings,
 enumerate the execution arrangements of each xor-free instance, count the
 sequences in each arrangement's class, and solve one Valued WSP per cost
 signature (arrangements of an instance with equal signatures share their
-minimum-cost plan).  The aggregates then answer strong satisfiability
-(every arrangement at cost zero), bounded cost (max cost within budget),
-bounded expected cost (sequence-weighted mean within budget, in exact
-rational arithmetic) and the probability of completing within budget.
+minimum-cost plan).  The pipeline fills one table, ``Analysis.mass``: the
+number of execution sequences at each minimum cost.  Every decision reads
+that table: strong satisfiability (no sequence above cost zero), bounded
+cost (max cost within budget), bounded expected cost (sequence-weighted
+mean within budget, in exact rational arithmetic) and the probability of
+completing within budget.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from .solver import CostedPlan, SolveCache, min_cost_arrangement, signature_func
 
 @dataclass
 class ArrangementRecord:
-    """One arrangement with its class size and minimum-cost plan."""
+    """One arrangement with its class size and, once solved, minimum-cost plan."""
 
     instance_index: int
     arrangement: Arrangement
     count: int
-    solution: CostedPlan
+    solution: CostedPlan | None = None
 
     @property
     def min_cost(self) -> int:
@@ -45,32 +47,35 @@ class ArrangementRecord:
 
 @dataclass
 class Analysis:
-    """Per-arrangement records for a schema, in canonical order."""
+    """Per-arrangement records for a schema, in canonical order.
+
+    ``mass`` maps each minimum cost to the number of execution sequences
+    at that cost; the aggregates below read only this table.
+    """
 
     schema: Schema
     instances: list[XorFreeInstance]
     records: list[ArrangementRecord]
+    mass: dict[int, int]
     cache_hits: int = 0
     cache_misses: int = 0
 
     @property
     def total_sequences(self) -> int:
-        return sum(r.count for r in self.records)
+        return sum(self.mass.values())
 
     @property
     def max_cost(self) -> int:
-        return max(r.min_cost for r in self.records)
+        return max(self.mass)
 
     @property
     def expected_cost(self) -> Fraction:
         """Mean minimum cost over all execution sequences, exactly."""
-        return Fraction(
-            sum(r.count * r.min_cost for r in self.records), self.total_sequences
-        )
+        return Fraction(sum(c * n for c, n in self.mass.items()), self.total_sequences)
 
     def within_budget(self, budget: Fraction) -> int:
         """Number of sequences whose arrangement fits the budget."""
-        return sum(r.count for r in self.records if r.min_cost <= budget)
+        return sum(n for c, n in self.mass.items() if c <= budget)
 
 
 def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
@@ -84,6 +89,7 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     instances = eliminate_xor(schema.workflow)
     cache = SolveCache()
     records = []
+    mass: dict[int, int] = {}
     for i, instance in enumerate(instances):
         by_signature: dict[tuple[int, ...], CostedPlan] = {}
         arrangements = enumerate_arrangements(instance)
@@ -96,18 +102,14 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
                     solution = by_signature[key] = min_cost_arrangement(
                         arrangement, schema, cache
                     )
-                records.append(
-                    ArrangementRecord(
-                        instance_index=i,
-                        arrangement=arrangement,
-                        count=count_sequences(arrangement),
-                        solution=solution,
-                    )
-                )
+                count = count_sequences(arrangement)
+                records.append(ArrangementRecord(i, arrangement, count, solution))
+                mass[solution.total] = mass.get(solution.total, 0) + count
     return Analysis(
         schema=schema,
         instances=instances,
         records=records,
+        mass=mass,
         cache_hits=cache.hits,
         cache_misses=cache.misses,
     )
@@ -142,40 +144,32 @@ def check_strong_sat(schema_or_analysis) -> tuple[bool, ArrangementRecord | None
     """
     analysis = _as_analysis(schema_or_analysis)
     _guard_zero_weights(analysis.schema)
-    for record in analysis.records:
-        if record.min_cost > 0:
-            return False, record
-    return True, None
+    if analysis.max_cost == 0:
+        return True, None
+    return False, next(r for r in analysis.records if r.min_cost > 0)
 
 
 def check_bounded_cost(schema_or_analysis, budget) -> bool:
     """Every arrangement has a plan within the budget."""
-    analysis = _as_analysis(schema_or_analysis)
-    return analysis.max_cost <= Fraction(budget)
+    return _as_analysis(schema_or_analysis).max_cost <= Fraction(budget)
 
 
 def check_expected_cost(schema_or_analysis, budget) -> bool:
     """The sequence-weighted mean minimum cost is within the budget."""
-    analysis = _as_analysis(schema_or_analysis)
-    budget = Fraction(budget)
-    # Cross-multiplied form of expected_cost <= budget; exact.
-    return sum(r.count * r.min_cost for r in analysis.records) <= budget * analysis.total_sequences
+    return _as_analysis(schema_or_analysis).expected_cost <= Fraction(budget)
 
 
 def check_approx(schema_or_analysis, budget, probability) -> bool:
     """At least the given fraction of sequences completes within the budget."""
     analysis = _as_analysis(schema_or_analysis)
-    b = analysis.within_budget(Fraction(budget))
-    return b >= Fraction(probability) * analysis.total_sequences
+    return analysis.within_budget(Fraction(budget)) >= Fraction(probability) * analysis.total_sequences
 
 
 def min_budget_bounded(schema_or_analysis) -> Fraction:
     """Smallest budget with bounded cost: the maximum arrangement cost."""
-    analysis = _as_analysis(schema_or_analysis)
-    return Fraction(analysis.max_cost)
+    return Fraction(_as_analysis(schema_or_analysis).max_cost)
 
 
 def min_budget_expected(schema_or_analysis) -> Fraction:
     """Smallest budget with bounded expected cost: the mean cost."""
-    analysis = _as_analysis(schema_or_analysis)
-    return analysis.expected_cost
+    return _as_analysis(schema_or_analysis).expected_cost

@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from importlib import resources
 
-from .decisions import Analysis
+from .decisions import Analysis, ArrangementRecord
 from .oracle import OracleReport
 
 
@@ -29,21 +29,16 @@ def _rat(value) -> str | None:
     return None if value is None else str(Fraction(value))
 
 
-def _choices(instance) -> dict[str, str]:
-    return dict(instance.choices)
-
-
-def arrangement_record(
-    instance_index: int, instance, arrangement, count: int, solution=None
-) -> dict:
+def arrangement_record(record: ArrangementRecord) -> dict:
     """One arrangement as a report record; cost fields are None without a solution."""
+    arrangement, solution = record.arrangement, record.solution
     return {
         "type": "arrangement",
-        "instance": instance_index,
-        "choices": _choices(instance),
+        "instance": record.instance_index,
+        "choices": dict(arrangement.owner.choices),
         "release_order": list(arrangement.release_order),
         "slots": [list(slot) for slot in arrangement.slots],
-        "count": count,
+        "count": record.count,
         "min_cost": None if solution is None else solution.total,
         "constraint_cost": None if solution is None else solution.constraint_weight,
         "authorization_cost": None if solution is None else solution.authorization_weight,
@@ -70,16 +65,7 @@ class Records:
 
 
 def arrangement_records(analysis: Analysis) -> Records:
-    def build(record) -> dict:
-        return arrangement_record(
-            record.instance_index,
-            analysis.instances[record.instance_index],
-            record.arrangement,
-            record.count,
-            record.solution,
-        )
-
-    return Records(analysis.records, build)
+    return Records(analysis.records, arrangement_record)
 
 
 def analysis_totals(analysis: Analysis) -> dict:

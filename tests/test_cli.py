@@ -23,6 +23,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 RESTRICTED = str(FIXTURES / "purchase_order_restricted.json")
 PO = str(FIXTURES / "purchase_order.json")
 FIG2 = str(FIXTURES / "purchase_order_no_release.json")
+COST_FIELDS = ("min_cost", "constraint_cost", "authorization_cost", "witness")
+
+
+def src_env() -> dict:
+    """The environment for a child interpreter that imports this wfsat."""
+    return {**os.environ, "PYTHONPATH": str(Path(wfsat.__file__).parents[1])}
 
 
 def run_json(*args):
@@ -124,6 +130,20 @@ class TestEnumerate:
             ["s1", "s2", "s4", "s3p", "s6"],
         ]
 
+    @pytest.mark.parametrize("fixture", [PO, RESTRICTED, FIG2, "random"])
+    def test_arrangement_records_match_solve(self, fixture, tmp_path):
+        # Both verbs build their records through one builder; only solve fills the costs.
+        if fixture == "random":
+            fixture = str(tmp_path / "random.json")
+            schema = random_schema(4, max_effort=None, max_steps=8, max_releases=2, max_xors=1)
+            save_schema(schema, fixture)
+        _, listed = run_json("enumerate", "--what", "arrangements", fixture)
+        _, solved = run_json("solve", fixture)
+        assert len(listed["records"]) > 1
+        assert listed["records"] == [
+            {**r, **dict.fromkeys(COST_FIELDS)} for r in solved["records"]
+        ]
+
     def test_sequence_cap_exit_code(self):
         code, _ = run_cli("enumerate", "--what", "sequences", "--limit", "2", PO)
         assert code == 3
@@ -205,6 +225,22 @@ class TestErrors:
         assert run_cli(*verb, "--limit", "-3", PO)[0] == 2
         assert run_cli(*verb, "--limit", "0", PO)[0] == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "--mode", "bounded"),
+            ("check", "--mode", "approx", "--budget", "3", "--prob", "2"),
+            ("check", "--mode", "bounded", "--budget", "abc"),
+            ("solve", "--budget", "-1"),
+        ],
+    )
+    def test_bad_flags_fail_before_analysis(self, args, monkeypatch):
+        def analyze(*_, **__):
+            raise AssertionError("analysis ran before the flags were checked")
+
+        monkeypatch.setattr(wfsat.decisions, "analyze", analyze)
+        assert run_cli(*args, RESTRICTED)[0] == 2
+
     def test_unknown_verb(self):
         assert run_cli("frobnicate", RESTRICTED)[0] == 2
 
@@ -263,6 +299,7 @@ class TestClosedStdout:
             [sys.executable, "-c", script, "solve", str(path)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=src_env(),
         ) as proc:
             assert proc.stdout.read(10) == report[:10].encode()
             proc.stdout.close()
@@ -305,6 +342,7 @@ def test_console_script_installed():
         [sys.executable, "-m", "wfsat.cli", "min-budget", "--mode", "bounded", RESTRICTED],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "5"
@@ -313,6 +351,7 @@ def test_console_script_installed():
 def test_imports_need_neither_numpy_nor_scipy():
     # wfsat and its CLI run on the standard library alone.
     script = "import sys, wfsat, wfsat.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(Path(wfsat.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
+    )
     assert (proc.returncode, proc.stdout) == (0, "[]\n")

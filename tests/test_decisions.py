@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,10 @@ from wfsat.decisions import (
 )
 from wfsat.errors import ZeroWeight
 from wfsat.model import Schema, WeightedConstraint, par, seq, step
+from wfsat.oracle import oracle_decide
 from wfsat.sequences import sequence_count
+
+from randgen import random_schema
 
 REFERENCE_ORDER = [
     (("s1", "s2", "s3", "s5"), ("s4", "s6")),
@@ -62,6 +66,20 @@ class TestAnalyze:
             for r in a.records
         ]
         assert key(a1) == key(a8)
+
+
+class TestMass:
+    def test_matches_oracle_min_costs(self, small_corpus):
+        # Cost is invariant within a class: summing class sizes by arrangement
+        # cost gives the oracle's per-sequence cost histogram.
+        for schema in small_corpus:
+            assert analyze(schema).mass == Counter(oracle_decide(schema).min_costs)
+
+    @pytest.mark.parametrize("seed", [2, 4, 10, 17])
+    def test_sums_to_sigma_beyond_oracle_scale(self, seed):
+        schema = random_schema(seed, max_steps=10, max_releases=3, max_effort=None)
+        analysis = analyze(schema)
+        assert sum(analysis.mass.values()) == sum(sequence_count(i.ast) for i in analysis.instances)
 
 
 class TestStrongSat:
