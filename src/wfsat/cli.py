@@ -109,7 +109,12 @@ def _common(sub: argparse.ArgumentParser, jobs: bool = False, limit: bool = Fals
     sub.add_argument("file")
     sub.add_argument("--budget", help="rational budget, overrides the file's value")
     sub.add_argument("--prob", help="rational probability, overrides the file's value")
-    sub.add_argument("--timings", action="store_true", help="include wall-clock timing in the report")
+    sub.add_argument(
+        "--timings",
+        action="store_true",
+        help="include the wall-clock seconds from the start of the verb to the start of "
+        "writing the report: loading, analysis and setting records up, not rendering them",
+    )
     if jobs:
         sub.add_argument(
             "--jobs", type=_positive_int, default=None, help="ignored; analysis is serial"
@@ -198,6 +203,8 @@ def _run_check(args, started: float) -> int:
     schema = load_schema(args.file)
     budget = _budget_of(args, schema, required=args.mode in ("bounded", "expected", "approx"))
     probability = _probability_of(args, schema, required=args.mode == "approx")
+    if args.mode == "strong":
+        decisions.guard_zero_weights(schema)
     analysis = decisions.analyze(schema)
     if args.mode == "strong":
         answer, _ = decisions.check_strong_sat(analysis)
@@ -249,7 +256,7 @@ def _run_enumerate(args, started: float) -> int:
             for i, inst in enumerate(instances)
             for arr in enumerate_arrangements(inst)
         ]
-        records = reports.Records(rows, reports.arrangement_record)
+        records = reports.ArrangementRecords(rows)
         arrangements = len(rows)
     else:
         cap = args.limit if args.limit is not None else DEFAULT_SEQUENCE_CAP

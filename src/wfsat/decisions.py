@@ -121,8 +121,12 @@ def _as_analysis(schema_or_analysis) -> Analysis:
     return analyze(schema_or_analysis)
 
 
-def _guard_zero_weights(schema: Schema) -> None:
-    # A zero weight would let a violated schema pass for a satisfiable one.
+def guard_zero_weights(schema: Schema) -> None:
+    """Raise ``ZeroWeight`` unless every violation costs something.
+
+    A zero weight would let a violated schema pass for a satisfiable one.
+    The test reads only the schema, so it can run before the analysis.
+    """
     for c in schema.constraints:
         if c.weight <= 0:
             raise ZeroWeight(f"constraint {c.id} has non-positive weight")
@@ -143,7 +147,7 @@ def check_strong_sat(schema_or_analysis) -> tuple[bool, ArrangementRecord | None
     failing arrangement as a witness.
     """
     analysis = _as_analysis(schema_or_analysis)
-    _guard_zero_weights(analysis.schema)
+    guard_zero_weights(analysis.schema)
     if analysis.max_cost == 0:
         return True, None
     return False, next(r for r in analysis.records if r.min_cost > 0)

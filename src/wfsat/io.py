@@ -9,14 +9,19 @@ One parse/write pass canonicalizes any valid file byte-stably.
 The same canonical JSON form (two-space indent, sorted keys, ASCII
 escapes) renders reports.  :func:`iter_canonical_json` streams it as
 text pieces, at most about one per array element, so a report whose
-records are drawn lazily is written without ever being held whole.
+records are drawn lazily is written without ever being held whole.  An
+array that subclasses :class:`Prerendered` hands over its elements
+already rendered, at the indent the stream asks for; :func:`_render`
+remains the reference renderer that such text must equal.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import SchemaSemanticError, SchemaSyntaxError
@@ -52,6 +57,20 @@ _TOP_KEYS = {
 }
 
 
+class Prerendered:
+    """An array that renders its own elements.
+
+    :func:`iter_canonical_json` writes ``texts(pad)`` as the array's
+    elements instead of rendering what iterating it yields.  Each text
+    must equal ``_render(element, pad)`` of the element it stands for, so
+    the generic renderer, which iterates, gives the same bytes.
+    """
+
+    def texts(self, pad: str) -> Iterator[str]:
+        """The canonical text of each element, nested at the indent ``pad`` ends with."""
+        raise NotImplementedError
+
+
 def canonical_json(payload) -> str:
     """The whole canonical text of ``payload`` as one string."""
     return "".join(iter_canonical_json(payload))
@@ -63,9 +82,12 @@ def iter_canonical_json(payload):
     The pieces join to ``json.dumps(payload, indent=2, sort_keys=True)``
     plus a newline, byte for byte.  Objects are streamed key by key and
     arrays element by element, each element rendered whole, so records
-    drawn from an iterator are built and written one at a time.  Any
-    non-dict iterable renders as an array; a non-``str`` key raises
-    ``TypeError`` (``encode_basestring_ascii`` accepts nothing else).
+    drawn from an iterator are built and written one at a time.  The
+    elements of a :class:`Prerendered` array come already rendered, from
+    its ``texts`` at the element indent.  Any non-dict iterable renders
+    as an array, and a ``str`` of any type renders as a JSON string; a
+    non-``str`` key raises ``TypeError`` (``encode_basestring_ascii``
+    accepts nothing else).
     """
     yield from _stream(payload, "\n")
     yield "\n"
@@ -84,9 +106,13 @@ def _stream(value, pad: str):
             sep = "," + inner
         yield "{}" if sep[0] == "{" else pad + "}"
     else:
+        if isinstance(value, Prerendered):
+            texts = value.texts(inner)
+        else:
+            texts = map(_render, _items(value), repeat(inner))
         sep = "[" + inner
-        for item in _items(value):
-            yield sep + _render(item, inner)
+        for text in texts:
+            yield sep + text
             sep = "," + inner
         yield "[]" if sep[0] == "[" else pad + "]"
 

@@ -4,8 +4,13 @@ Reports are plain dicts rendered through :func:`wfsat.io.iter_canonical_json`,
 so identical analyses produce identical bytes, and streamed: arrangement
 and sequence records are :class:`Records`, sized and lazy, built one
 record at a time as the report is written, so a report is never held
-whole in memory.  The shape is published as a JSON Schema in
-``report-schema.json`` next to this module.
+whole in memory.  Arrangement records skip the dict: their text is put
+together from the fixed sorted-key template and fragments memoized per
+report, since most of it repeats.  The cost fields and the witness
+depend only on the solution, ``choices`` only on the instance,
+``release_order`` only on the order and each slot only on itself.  The
+shape is published as a JSON Schema in ``report-schema.json`` next to
+this module.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .decisions import Analysis, ArrangementRecord
+from .io import Prerendered, _render
 from .oracle import OracleReport
 
 
@@ -64,8 +70,91 @@ class Records:
         return map(self._build, self._rows)
 
 
-def arrangement_records(analysis: Analysis) -> Records:
-    return Records(analysis.records, arrangement_record)
+class ArrangementRecords(Records, Prerendered):
+    """:func:`arrangement_record` of each row, written from memoized text."""
+
+    def __init__(self, rows: Sequence[ArrangementRecord]):
+        super().__init__(rows, arrangement_record)
+
+    def texts(self, pad: str) -> Iterator[str]:
+        return map(_arrangement_text(pad), self._rows)
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``make(key)``, made on first use."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
+_FIELDS = (
+    # The keys of arrangement_record, sorted: the order they are written in.
+    "authorization_cost",
+    "choices",
+    "constraint_cost",
+    "count",
+    "instance",
+    "min_cost",
+    "release_order",
+    "slots",
+    "type",
+    "witness",
+)
+_SOLUTION_FIELDS = ("authorization_cost", "constraint_cost", "min_cost", "witness")
+
+
+def _arrangement_text(pad: str) -> Callable[[ArrangementRecord], str]:
+    """A renderer of arrangement records nested at ``pad``, with its memos.
+
+    Its text equals ``_render(arrangement_record(record), pad)``.  Slots
+    are memoized one by one, never as whole vectors, whose number grows
+    with the records'.  Solutions are keyed by identity, which stays
+    stable while the records being written hold them.
+    """
+    field = pad + "  "
+    item = field + "  "
+    template = "{{" + field + ("," + field).join(f'"{k}": {{}}' for k in _FIELDS) + pad + "}}"
+    choices = _Memo(lambda c: _render(dict(c), field))
+    orders = _Memo(lambda order: _render(order, field))
+    slot = _Memo(lambda s: _render(s, item)).__getitem__
+    comma = "," + item
+    solutions: dict[int, tuple[str, ...]] = {}
+    shared: dict[str, str] = {}  # one copy of each text: solutions mostly share them
+
+    def text(record: ArrangementRecord) -> str:
+        solved = solutions.get(id(record.solution))
+        if solved is None:
+            reference = arrangement_record(record)
+            rendered = (_render(reference[k], field) for k in _SOLUTION_FIELDS)
+            solved = solutions[id(record.solution)] = tuple(
+                shared.setdefault(t, t) for t in rendered
+            )
+        authorization, constraint, total, witness = solved
+        arrangement = record.arrangement
+        return template.format(  # positionally, in the order of _FIELDS
+            authorization,
+            choices[arrangement.owner.choices],
+            constraint,
+            record.count,
+            record.instance_index,
+            total,
+            orders[arrangement.release_order],
+            # An arrangement has at least one slot.
+            "[" + item + comma.join(map(slot, arrangement.slots)) + field + "]",
+            '"arrangement"',
+            witness,
+        )
+
+    return text
+
+
+def arrangement_records(analysis: Analysis) -> ArrangementRecords:
+    return ArrangementRecords(analysis.records)
 
 
 def analysis_totals(analysis: Analysis) -> dict:

@@ -244,12 +244,21 @@ class TestErrors:
     def test_unknown_verb(self):
         assert run_cli("frobnicate", RESTRICTED)[0] == 2
 
-    def test_zero_weight_guard_maps_to_usage_error(self, tmp_path):
+    def test_zero_weight_guard_maps_to_usage_error(self, tmp_path, monkeypatch):
         doc = json.loads(Path(RESTRICTED).read_text())
         doc["default_unauth_penalty"] = 0
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(doc))
-        assert run_cli("check", "--mode", "strong", str(path))[0] == 2
+
+        def analyze(*_, **__):
+            raise AssertionError("analysis ran before the weights were checked")
+
+        monkeypatch.setattr(wfsat.decisions, "analyze", analyze)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["check", "--mode", "strong", str(path)])
+        assert code == 2
+        assert "without authorization at zero penalty" in err.getvalue()
 
 
 class _ClosingStdout(io.StringIO):

@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfsat import decisions, reports
+from wfsat.arrangements import count_sequences, eliminate_xor, enumerate_arrangements
 from wfsat.cli import main
+from wfsat.decisions import ArrangementRecord
 from wfsat.errors import SchemaSemanticError, SchemaSyntaxError
 from wfsat.io import (
+    _render,
     canonical_json,
     export_dot,
     iter_canonical_json,
@@ -25,10 +28,10 @@ from wfsat.io import (
     save_schema,
     write_ccws,
 )
-from wfsat.model import Schema, par, seq, step
+from wfsat.model import Schema, par, release, seq, step
 
 from helpers import run_cli
-from randgen import corpus
+from randgen import corpus, random_schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -253,6 +256,15 @@ class TestCanonicalJson:
         with pytest.raises(TypeError):
             list(iter_canonical_json({key: 1}))
 
+    def test_str_subclasses_render_as_strings(self):
+        class Sub(str):
+            pass
+
+        text = '{"x": 1}'
+        for value in (Sub(text), text):
+            assert canonical_json({"a": [value]}) == '{\n  "a": [\n    "{\\"x\\": 1}"\n  ]\n}\n'
+            assert canonical_json({"a": value, "b": [[value]]}) == json_dumps({"a": text, "b": [[text]]})
+
     def test_unserializable_value_raises(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             canonical_json({"x": Fraction(1, 2)})
@@ -283,6 +295,38 @@ class TestCanonicalJson:
         code, out = run_cli(*args, "--budget", "5", "--prob", "1/2", str(FIXTURES / name))
         assert code in (0, 1)
         assert out == json_dumps(json.loads(out))
+
+
+def unsolved_rows(schema: Schema) -> list[ArrangementRecord]:
+    """The rows of ``enumerate --what arrangements``: records without a solution."""
+    return [
+        ArrangementRecord(i, arr, count_sequences(arr))
+        for i, inst in enumerate(eliminate_xor(schema.workflow))
+        for arr in enumerate_arrangements(inst)
+    ]
+
+
+class TestRecordText:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_equals_the_reference_renderer(self, seed):
+        schema = random_schema(seed, max_steps=8, max_releases=3, max_effort=None)
+        solved = decisions.analyze(schema).records
+        unsolved = unsolved_rows(schema)
+        mixed = [r for pair in zip(solved, unsolved) for r in pair]
+        for rows in (solved, unsolved, mixed):
+            records = reports.ArrangementRecords(rows)
+            for pad in ("\n", "\n    ", "\n" + " " * 10):
+                expected = [_render(reports.arrangement_record(r), pad) for r in rows]
+                assert list(records.texts(pad)) == expected
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_written_at_the_depth_of_the_stream(self, depth, purchase_order):
+        records = reports.arrangement_records(decisions.analyze(purchase_order))
+        report, plain = {"records": records}, {"records": list(records)}
+        for _ in range(depth):
+            report, plain = {"outer": report}, {"outer": plain}
+        assert canonical_json(report) == json_dumps(plain)
 
 
 class TestStreaming:
@@ -333,6 +377,26 @@ class TestStreaming:
         assert [tuple(r["elements"]) for r in json.loads(out)["records"]] == list(
             itertools.permutations(steps)
         )
+
+    def test_record_text_memos_stay_small(self):
+        # 4**6 arrangements, one per slot vector, drawn from 2**6 distinct slots.
+        steps = [f"s{j}" for j in range(6)]
+        schema = Schema(
+            workflow=par(*(step(s) for s in steps), seq(release("r1"), release("r2"), release("r3"))),
+            users=("u1", "u2"),
+            authorizations={s: frozenset(("u1",)) for s in steps},
+        )
+        records = reports.arrangement_records(decisions.analyze(schema))
+        assert len(records) == 4**6
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            sink.writelines(iter_canonical_json({"records": records}))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.written > 2_000_000
+        assert peak < sink.written / 20
 
     def test_arrangement_records_are_sized_and_reiterable(self):
         analysis = decisions.analyze(load_schema(FIXTURES / "purchase_order.json"))
