@@ -59,7 +59,7 @@ class XorFreeInstance:
         return release_ids(self.ast)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrangement:
     """Compact representative (S1, r1, ..., r_{q-1}, Sq) of one ~-class.
 

@@ -95,6 +95,11 @@ def _build_parser() -> argparse.ArgumentParser:
     dot.add_argument("file")
     dot.set_defaults(run=_run_export_dot)
 
+    # Only the verbs that read a flag accept it.
+    for verb in (check, solve, orc):
+        verb.add_argument("--budget", help="rational budget, overrides the file's value")
+    for verb in (check, orc):
+        verb.add_argument("--prob", help="rational probability, overrides the file's value")
     return parser
 
 
@@ -107,8 +112,6 @@ def _positive_int(text: str) -> int:
 
 def _common(sub: argparse.ArgumentParser, jobs: bool = False, limit: bool = False) -> None:
     sub.add_argument("file")
-    sub.add_argument("--budget", help="rational budget, overrides the file's value")
-    sub.add_argument("--prob", help="rational probability, overrides the file's value")
     sub.add_argument(
         "--timings",
         action="store_true",

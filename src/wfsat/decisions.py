@@ -31,7 +31,7 @@ from .model import Schema
 from .solver import CostedPlan, SolveCache, min_cost_arrangement, signature_function
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrangementRecord:
     """One arrangement with its class size and, once solved, minimum-cost plan."""
 

@@ -13,6 +13,10 @@ records are drawn lazily is written without ever being held whole.  An
 array that subclasses :class:`Prerendered` hands over its elements
 already rendered, at the indent the stream asks for; :func:`_render`
 remains the reference renderer that such text must equal.
+
+:func:`export_dot` draws the workflow DAG.  It builds the drawn graph
+in one pass over the tree, with fork/join vertices only where a
+composition branches and no intermediate vertices to contract away.
 """
 
 from __future__ import annotations
@@ -389,15 +393,21 @@ def _constraint_doc(c: WeightedConstraint, schema: Schema):
 def export_dot(node: CompositionNode) -> str:
     """Workflow DAG in DOT form, orchestration points re-materialized.
 
-    Mirrors the usual drawing convention: a distinguished input/output
-    pair wraps the workflow, every parallel and xor composition keeps its
-    fork/join vertices, and orchestration points with a single neighbor
-    on each side are contracted into edges.  Steps render as boxes,
-    release points as circles, orchestration points unstyled.
+    Mirrors the usual drawing convention: a distinguished ``alpha``/
+    ``omega`` pair wraps the workflow and every parallel and xor
+    composition keeps its fork/join pair ``alpha_<kind>_<n>``/
+    ``omega_<kind>_<n>``, numbered per kind in depth-first order.  The
+    graph is built directly: a step or release point is its own entry
+    and exit, and a sequence is one edge from its left part's exit to
+    its right part's entry, so no orchestration point with a single
+    neighbor on each side is ever drawn.  A generated name that equals
+    an element id takes trailing underscores until it is free.  Steps
+    render as boxes, release points as circles, orchestration points
+    unstyled.
     """
-    vertices: list[tuple[str, str]] = []  # (name, kind) in creation order
-    edges: set[tuple[str, str]] = set()
-    counters = {"par": 0, "xor": 0, "leaf": 0}
+    vertices: list[tuple[str, str]] = []  # (name, style) in creation order
+    edges: list[tuple[str, str]] = []
+    counters = {"par": 0, "xor": 0}
     taken = set(element_order(node))
 
     def unique(name: str) -> str:
@@ -406,73 +416,39 @@ def export_dot(node: CompositionNode) -> str:
         taken.add(name)
         return name
 
-    def fresh(kind: str) -> tuple[str, str]:
-        counters[kind] += 1
-        if kind == "leaf":
-            return unique(f"__in_{counters['leaf']}"), unique(f"__out_{counters['leaf']}")
-        n = counters[kind]
-        return unique(f"alpha_{kind}_{n}"), unique(f"omega_{kind}_{n}")
-
     def build(nd: CompositionNode) -> tuple[str, str]:
-        if isinstance(nd, (StepLeaf, ReleaseLeaf)):
-            name = nd.step if isinstance(nd, StepLeaf) else nd.release
-            kind = "step" if isinstance(nd, StepLeaf) else "release"
-            a, o = fresh("leaf")
-            vertices.append((a, "orch"))
-            vertices.append((name, kind))
-            vertices.append((o, "orch"))
-            edges.add((a, name))
-            edges.add((name, o))
-            return a, o
+        if isinstance(nd, StepLeaf):
+            vertices.append((nd.step, " [shape=box]"))
+            return nd.step, nd.step
+        if isinstance(nd, ReleaseLeaf):
+            vertices.append((nd.release, " [shape=circle]"))
+            return nd.release, nd.release
         if isinstance(nd, Seq):
             i1, o1 = build(nd.left)
             i2, o2 = build(nd.right)
-            edges.add((o1, i2))
+            edges.append((o1, i2))
             return i1, o2
         kind = "par" if isinstance(nd, Par) else "xor"
-        a, o = fresh(kind)
-        vertices.append((a, "orch"))
+        counters[kind] += 1
+        a = unique(f"alpha_{kind}_{counters[kind]}")
+        o = unique(f"omega_{kind}_{counters[kind]}")
+        vertices.append((a, ""))
         i1, o1 = build(nd.left)
         i2, o2 = build(nd.right)
-        vertices.append((o, "orch"))
-        edges.add((a, i1))
-        edges.add((a, i2))
-        edges.add((o1, o))
-        edges.add((o2, o))
+        vertices.append((o, ""))
+        edges.extend([(a, i1), (a, i2), (o1, o), (o2, o)])
         return a, o
 
-    outer_alpha = unique("alpha")
-    outer_omega = unique("omega")
-    vertices.append((outer_alpha, "orch"))
-    inner_in, inner_out = build(node)
-    vertices.append((outer_omega, "orch"))
-    edges.add((outer_alpha, inner_in))
-    edges.add((inner_out, outer_omega))
+    alpha, omega = unique("alpha"), unique("omega")
+    vertices.append((alpha, ""))
+    entry, exit_ = build(node)
+    vertices.append((omega, ""))
+    edges.extend([(alpha, entry), (exit_, omega)])
 
-    # Contract orchestration vertices with one in- and one out-neighbor.
-    keep = {outer_alpha, outer_omega}
-    changed = True
-    while changed:
-        changed = False
-        for name, kind in vertices:
-            if kind != "orch" or name in keep:
-                continue
-            ins = [e for e in edges if e[1] == name]
-            outs = [e for e in edges if e[0] == name]
-            if len(ins) == 1 and len(outs) == 1:
-                edges.discard(ins[0])
-                edges.discard(outs[0])
-                edges.add((ins[0][0], outs[0][1]))
-                vertices.remove((name, kind))
-                changed = True
-                break
-
-    shapes = {"step": " [shape=box]", "release": " [shape=circle]", "orch": ""}
     order = {name: i for i, (name, _) in enumerate(vertices)}
+    edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
     lines = ["digraph workflow {"]
-    for name, kind in vertices:
-        lines.append(f'  "{name}"{shapes[kind]};')
-    for src, dst in sorted(edges, key=lambda e: (order[e[0]], order[e[1]])):
-        lines.append(f'  "{src}" -> "{dst}";')
+    lines += [f'  "{name}"{style};' for name, style in vertices]
+    lines += [f'  "{src}" -> "{dst}";' for src, dst in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,17 @@ from math import comb
 
 from wfsat.arrangements import Arrangement, XorFreeInstance
 from wfsat.cli import main
-from wfsat.model import Poset, Schema, violation_units
+from wfsat.model import (
+    CompositionNode,
+    Par,
+    Poset,
+    ReleaseLeaf,
+    Schema,
+    Seq,
+    StepLeaf,
+    element_order,
+    violation_units,
+)
 
 
 def run_cli(*args: str) -> tuple[int, str]:
@@ -125,3 +135,98 @@ def arrangements_by_filter(instance: XorFreeInstance) -> list[Arrangement]:
                     )
                 )
     return out
+
+
+def export_dot_by_contraction(node: CompositionNode) -> str:
+    """Workflow DAG in DOT form, by wrapping every element and contracting.
+
+    The reference for :func:`wfsat.io.export_dot`, which builds the
+    contracted graph directly and must give the same text.
+
+    Mirrors the usual drawing convention: a distinguished input/output
+    pair wraps the workflow, every parallel and xor composition keeps its
+    fork/join vertices, and orchestration points with a single neighbor
+    on each side are contracted into edges.  Steps render as boxes,
+    release points as circles, orchestration points unstyled.
+    """
+    vertices: list[tuple[str, str]] = []  # (name, kind) in creation order
+    edges: set[tuple[str, str]] = set()
+    counters = {"par": 0, "xor": 0, "leaf": 0}
+    taken = set(element_order(node))
+
+    def unique(name: str) -> str:
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        return name
+
+    def fresh(kind: str) -> tuple[str, str]:
+        counters[kind] += 1
+        if kind == "leaf":
+            return unique(f"__in_{counters['leaf']}"), unique(f"__out_{counters['leaf']}")
+        n = counters[kind]
+        return unique(f"alpha_{kind}_{n}"), unique(f"omega_{kind}_{n}")
+
+    def build(nd: CompositionNode) -> tuple[str, str]:
+        if isinstance(nd, (StepLeaf, ReleaseLeaf)):
+            name = nd.step if isinstance(nd, StepLeaf) else nd.release
+            kind = "step" if isinstance(nd, StepLeaf) else "release"
+            a, o = fresh("leaf")
+            vertices.append((a, "orch"))
+            vertices.append((name, kind))
+            vertices.append((o, "orch"))
+            edges.add((a, name))
+            edges.add((name, o))
+            return a, o
+        if isinstance(nd, Seq):
+            i1, o1 = build(nd.left)
+            i2, o2 = build(nd.right)
+            edges.add((o1, i2))
+            return i1, o2
+        kind = "par" if isinstance(nd, Par) else "xor"
+        a, o = fresh(kind)
+        vertices.append((a, "orch"))
+        i1, o1 = build(nd.left)
+        i2, o2 = build(nd.right)
+        vertices.append((o, "orch"))
+        edges.add((a, i1))
+        edges.add((a, i2))
+        edges.add((o1, o))
+        edges.add((o2, o))
+        return a, o
+
+    outer_alpha = unique("alpha")
+    outer_omega = unique("omega")
+    vertices.append((outer_alpha, "orch"))
+    inner_in, inner_out = build(node)
+    vertices.append((outer_omega, "orch"))
+    edges.add((outer_alpha, inner_in))
+    edges.add((inner_out, outer_omega))
+
+    # Contract orchestration vertices with one in- and one out-neighbor.
+    keep = {outer_alpha, outer_omega}
+    changed = True
+    while changed:
+        changed = False
+        for name, kind in vertices:
+            if kind != "orch" or name in keep:
+                continue
+            ins = [e for e in edges if e[1] == name]
+            outs = [e for e in edges if e[0] == name]
+            if len(ins) == 1 and len(outs) == 1:
+                edges.discard(ins[0])
+                edges.discard(outs[0])
+                edges.add((ins[0][0], outs[0][1]))
+                vertices.remove((name, kind))
+                changed = True
+                break
+
+    shapes = {"step": " [shape=box]", "release": " [shape=circle]", "orch": ""}
+    order = {name: i for i, (name, _) in enumerate(vertices)}
+    lines = ["digraph workflow {"]
+    for name, kind in vertices:
+        lines.append(f'  "{name}"{shapes[kind]};')
+    for src, dst in sorted(edges, key=lambda e: (order[e[0]], order[e[1]])):
+        lines.append(f'  "{src}" -> "{dst}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

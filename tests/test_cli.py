@@ -232,6 +232,11 @@ class TestErrors:
             ("check", "--mode", "approx", "--budget", "3", "--prob", "2"),
             ("check", "--mode", "bounded", "--budget", "abc"),
             ("solve", "--budget", "-1"),
+            ("solve", "--prob", "1/2"),
+            ("enumerate", "--what", "arrangements", "--budget", "5"),
+            ("enumerate", "--what", "arrangements", "--prob", "1/2"),
+            ("min-budget", "--mode", "bounded", "--budget", "5"),
+            ("min-budget", "--mode", "bounded", "--prob", "1/2"),
         ],
     )
     def test_bad_flags_fail_before_analysis(self, args, monkeypatch):

@@ -58,6 +58,11 @@ class TestAnalyze:
         records = by_slots(analysis)
         assert [records[s].min_cost for s in REFERENCE_ORDER] == [0, 5, 5, 0]
 
+    def test_records_and_arrangements_have_no_dict(self, purchase_order_restricted):
+        for record in analyze(purchase_order_restricted).records:
+            assert not hasattr(record, "__dict__")
+            assert not hasattr(record.arrangement, "__dict__")
+
     def test_jobs_do_not_change_records(self, purchase_order_restricted):
         a1 = analyze(purchase_order_restricted, jobs=1)
         a8 = analyze(purchase_order_restricted, jobs=8)

@@ -4,7 +4,9 @@ import contextlib
 import itertools
 import json
 import math
+import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -28,12 +30,13 @@ from wfsat.io import (
     save_schema,
     write_ccws,
 )
-from wfsat.model import Schema, par, release, seq, step
+from wfsat.model import Schema, par, release, seq, step, xor
 
-from helpers import run_cli
+from helpers import export_dot_by_contraction, run_cli
 from randgen import corpus, random_schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_NAMES = ["purchase_order.json", "purchase_order_restricted.json", "purchase_order_no_release.json"]
 
 
 def fixture_text(name: str) -> str:
@@ -288,13 +291,20 @@ class TestCanonicalJson:
             ("min-budget", "--mode", "expected"),
         ],
     )
-    @pytest.mark.parametrize(
-        "name", ["purchase_order.json", "purchase_order_restricted.json", "purchase_order_no_release.json"]
-    )
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_cli_reports_are_json_dumps_text(self, args, name):
-        code, out = run_cli(*args, "--budget", "5", "--prob", "1/2", str(FIXTURES / name))
+        flags = READ_FLAGS.get(args[0], ())
+        code, out = run_cli(*args, *flags, str(FIXTURES / name))
         assert code in (0, 1)
         assert out == json_dumps(json.loads(out))
+
+
+# The value flags each verb reads; the other verbs reject them.
+READ_FLAGS = {
+    "check": ("--budget", "5", "--prob", "1/2"),
+    "oracle": ("--budget", "5", "--prob", "1/2"),
+    "solve": ("--budget", "5"),
+}
 
 
 def unsolved_rows(schema: Schema) -> list[ArrangementRecord]:
@@ -447,3 +457,34 @@ class TestExportDot:
 
     def test_deterministic(self, purchase_order):
         assert export_dot(purchase_order.workflow) == export_dot(purchase_order.workflow)
+
+    def test_matches_contraction_reference(self):
+        trees = [load_schema(FIXTURES / name).workflow for name in FIXTURE_NAMES]
+        trees += [random_dot_tree(random.Random(seed)) for seed in range(1000)]
+        for node in trees:
+            assert export_dot(node) == export_dot_by_contraction(node), node
+
+    def test_large_workflow_exports_quickly(self):
+        node = seq(*(par(step(f"a{i}"), step(f"b{i}")) for i in range(200)))
+        started = time.perf_counter()
+        text = export_dot(node)
+        assert time.perf_counter() - started < 2.0
+        assert len(dot_vertices(text)) == 2 + 2 * 200 + 400
+
+
+# Ids that collide with the names the DOT export generates.
+COLLIDING_IDS = ["alpha", "omega", "alpha_par_1", "omega_xor_1", "__in_1", "__out_1", "alpha_"]
+
+
+def random_dot_tree(rng: random.Random):
+    """A binary seq/par/xor tree of 1-14 distinct leaves, some of them releases."""
+    ids = rng.sample(COLLIDING_IDS + [f"e{i}" for i in range(14)], rng.randint(1, 14))
+    leaves = [release(i) if rng.random() < 0.2 else step(i) for i in ids]
+
+    def build(lo: int, hi: int):
+        if hi - lo == 1:
+            return leaves[lo]
+        mid = rng.randint(lo + 1, hi - 1)
+        return rng.choice([seq, par, xor])(build(lo, mid), build(mid, hi))
+
+    return build(0, len(leaves))
