@@ -12,7 +12,6 @@ per cost signature.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,7 +28,7 @@ from .model import (
     release_ids,
     step_ids,
 )
-from .sequences import Sequence, count_linear_extensions
+from .sequences import Sequence, count_linear_extensions, iter_sequences
 
 
 @dataclass(frozen=True)
@@ -110,65 +109,59 @@ def eliminate_xor(root: CompositionNode) -> list[XorFreeInstance]:
 def enumerate_arrangements(instance: XorFreeInstance) -> list[Arrangement]:
     """All execution arrangements of an xor-free instance, canonically ordered.
 
-    Release-point permutations that linearly extend the poset are visited
-    in lexicographic order of the canonical element index; for each, step
-    slot vectors are visited in mixed-radix order, restricted up front to
-    each step's feasible slot interval implied by its comparabilities with
-    the release points.  Digits are assigned depth first in step order,
+    Release orders are the linear extensions of the poset restricted to the
+    release points, generated by :func:`iter_sequences` in lexicographic
+    order of the canonical element index; for each, step slot vectors are
+    visited in mixed-radix order, restricted up front to each step's
+    feasible slot interval implied by its comparabilities with the release
+    points.  That interval is never empty: a release point below a step is,
+    by transitivity, below every release point above it, so every release
+    order puts it first.  Digits are assigned depth first in step order,
     which linearly extends the poset, so each step's digit starts at the
     largest digit of its predecessors and no infeasible vector is built.
     """
     poset = instance.poset
-    releases = list(instance.releases)
     steps = list(instance.steps)
     n = len(steps)
-    q = len(releases) + 1
+    q = len(instance.releases) + 1
 
     preds = [[i for i in range(j) if poset.less(steps[i], steps[j])] for j in range(n)]
 
     out: list[Arrangement] = []
-    for perm in itertools.permutations(releases):
-        if any(
-            poset.less(perm[j], perm[i]) for i in range(len(perm)) for j in range(i + 1, len(perm))
-        ):
-            continue
+    for release_order in iter_sequences(poset.restrict(instance.releases)):
         # Feasible slot interval per step: a step sits after every release
         # point below it and before every release point above it.
         lows, highs = [], []
         for s in steps:
             lo, hi = 0, q - 1
-            for j, r in enumerate(perm):
+            for j, r in enumerate(release_order):
                 if poset.less(r, s):
                     lo = max(lo, j + 1)
                 if poset.less(s, r):
                     hi = min(hi, j)
-            if lo > hi:
-                break
             lows.append(lo)
             highs.append(hi)
-        else:
-            release_order = tuple(perm)
-            digits = [0] * n
+        digits = [0] * n
 
-            def place(j: int) -> None:
-                if j == n:
-                    slots: list[list[str]] = [[] for _ in range(q)]
-                    for s, d in zip(steps, digits):
-                        slots[d].append(s)
-                    out.append(
-                        Arrangement(
-                            release_order=release_order,
-                            slots=tuple(tuple(slot) for slot in slots),
-                            owner=instance,
-                        )
+        def place(j: int) -> None:
+            if j == n:
+                slots: list[list[str]] = [[] for _ in range(q)]
+                for s, d in zip(steps, digits):
+                    slots[d].append(s)
+                out.append(
+                    Arrangement(
+                        release_order=release_order,
+                        slots=tuple(tuple(slot) for slot in slots),
+                        owner=instance,
                     )
-                    return
-                lo = max([lows[j]] + [digits[i] for i in preds[j]])
-                for d in range(lo, highs[j] + 1):
-                    digits[j] = d
-                    place(j + 1)
+                )
+                return
+            lo = max([lows[j]] + [digits[i] for i in preds[j]])
+            for d in range(lo, highs[j] + 1):
+                digits[j] = d
+                place(j + 1)
 
-            place(0)
+        place(0)
     return out
 
 

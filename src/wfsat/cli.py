@@ -12,8 +12,8 @@ One binary, orthogonal verbs:
 Reports are canonical JSON streamed to stdout; diagnostics go to stderr.
 A reader that closes the pipe early ends the output quietly.  Exit
 codes: 0 decision yes (or success), 1 decision no, 2 usage/parse error,
-3 enumeration size limit.  Timings are opt-in (``--timings``) so that
-reports stay byte-identical across runs.
+3 enumeration size limit or nesting too deep.  Timings are opt-in
+(``--timings``) so that reports stay byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -54,6 +54,14 @@ def main(argv=None) -> int:
         return args.run(args, started)
     except SizeLimit as exc:
         print(f"wfsat: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        # The tree walkers recurse once per nesting level, and a long
+        # seq/par/xor list folds into that many levels.
+        print(
+            f"wfsat: workflow nesting exceeds the recursion limit of {sys.getrecursionlimit()}",
+            file=sys.stderr,
+        )
         return 3
     except (_UsageError, SchemaSyntaxError, SchemaSemanticError, ZeroWeight) as exc:
         print(f"wfsat: {exc}", file=sys.stderr)

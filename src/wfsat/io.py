@@ -143,34 +143,13 @@ def _render(value, pad: str) -> str:
         inner = pad + "  "
         parts = [_quote(v) if type(v) is str else _render(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
-    # The rest, tested in json's order: subclasses, constants, floats and
-    # iterables other than lists and tuples.
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float(value)
+    # Off the fast path, json writes the scalars: None, booleans, floats
+    # and subclasses of str, int and float.
+    if value is None or isinstance(value, (str, int, float)):
+        return json.dumps(value)
     if isinstance(value, dict):
         return _render(dict(value), pad)
     return _render(list(_items(value)), pad)
-
-
-def _float(value: float) -> str:
-    # json's float text: repr, with its names for the non-finite values.
-    if value != value:
-        return "NaN"
-    if value == float("inf"):
-        return "Infinity"
-    if value == float("-inf"):
-        return "-Infinity"
-    return float.__repr__(value)
 
 
 def _items(value):

@@ -193,6 +193,17 @@ class Poset:
         """Sort ids by canonical element index."""
         return tuple(sorted(ids, key=self.index.__getitem__))
 
+    def restrict(self, ids) -> Poset:
+        """The induced order on ``ids``, its elements in canonical order."""
+        keep = sorted(map(self.index.__getitem__, ids))
+        return Poset(
+            tuple(self.elements[i] for i in keep),
+            tuple(
+                sum(1 << k for k, j in enumerate(keep) if self.successors[i] >> j & 1)
+                for i in keep
+            ),
+        )
+
 
 def compile_poset(node: CompositionNode) -> Poset:
     """Induced order on the steps and release points of an xor-free tree.

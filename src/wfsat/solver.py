@@ -325,8 +325,11 @@ def min_cost_arrangement(
     The decomposed constraints induce a graph joining steps that share a
     subscope; connected components interact through neither constraints
     nor the per-step additive authorization cost, so they are solved
-    independently (and memoized) and their costs summed.
+    independently (and memoized in ``cache``, a fresh one if none is
+    given) and their costs summed.
     """
+    if cache is None:
+        cache = SolveCache()
     classical = [
         cc
         for c in schema.constraints
@@ -358,10 +361,7 @@ def min_cost_arrangement(
     for component in ordered:
         member = set(component)
         local = [cc for cc in classical if cc.scope[0] in member]
-        if cache is not None:
-            solution = cache.solve(tuple(component), local, schema)
-        else:
-            solution = solve_vwsp(component, local, schema)
+        solution = cache.solve(tuple(component), local, schema)
         plan.update(solution.plan)
         constraint_weight += solution.constraint_weight
         authorization_weight += solution.authorization_weight

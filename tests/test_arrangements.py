@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfsat.arrangements import (
     arrangement_of,
@@ -12,16 +15,17 @@ from wfsat.arrangements import (
     enumerate_arrangements,
 )
 from wfsat.errors import NotASequence, XorPresent
-from wfsat.model import element_order, par, seq, step, step_ids, xor
+from wfsat.model import element_order, par, release, seq, step, step_ids, xor
 from wfsat.oracle import sigma
 from wfsat.sequences import (
     count_linear_extensions,
     equivalent,
     gen_sequences,
+    iter_sequences,
     sequence_count,
 )
 
-from helpers import arrangements_by_filter
+from helpers import arrangements_by_filter, linear_extensions_by_filter
 from randgen import random_schema, random_tree
 
 EXPECTED_ARRANGEMENTS = [
@@ -123,6 +127,42 @@ class TestEnumerateArrangements:
         for schema in schemas:
             for inst in eliminate_xor(schema.workflow):
                 assert enumerate_arrangements(inst) == arrangements_by_filter(inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(1, 6),
+        n_releases=st.integers(0, 5),
+        n_xors=st.integers(0, 2),
+    )
+    def test_release_orders_are_the_restricted_linear_extensions(
+        self, seed, n_steps, n_releases, n_xors
+    ):
+        tree = random_tree(random.Random(seed), n_steps, n_releases, n_xors)
+        for inst in eliminate_xor(tree):
+            poset, releases = inst.poset, inst.releases
+            restricted = poset.restrict(releases)
+            assert restricted.elements == poset.sort_canonical(releases)
+            for a in releases:
+                for b in releases:
+                    assert restricted.less(a, b) == poset.less(a, b)
+            orders = list(iter_sequences(restricted))
+            by_filter = linear_extensions_by_filter(poset, releases)
+            assert orders == sorted(by_filter, key=lambda o: [poset.index[r] for r in o])
+            assert len(orders) == count_linear_extensions(inst.ast, releases)
+
+    def test_many_sequential_release_points(self):
+        # One release order among 10! permutations: enumeration must not
+        # visit the others.
+        nodes = [step("s0")]
+        for i in range(10):
+            nodes += [release(f"r{i}"), step(f"s{i + 1}")]
+        (inst,) = eliminate_xor(seq(*nodes))
+        started = time.perf_counter()
+        (arr,) = enumerate_arrangements(inst)
+        assert time.perf_counter() - started < 1.0
+        assert arr.release_order == tuple(f"r{i}" for i in range(10))
+        assert arr.slots == tuple((f"s{i}",) for i in range(11))
 
     def test_emitted_arrangements_satisfy_invariants(self, small_corpus):
         for schema in small_corpus[:30]:

@@ -200,6 +200,43 @@ class TestExportDot:
         assert out.startswith("digraph workflow {")
 
 
+class TestDeepWorkflows:
+    """A long seq list folds into one nesting level per element."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [("check", "--mode", "strong"), ("enumerate", "--what", "arrangements"), ("export-dot",)],
+    )
+    @pytest.mark.parametrize("leaves, expected", [(900, 0), (1200, 3)])
+    def test_nesting_depth_exit_code(self, tmp_path, args, leaves, expected):
+        # A child interpreter, so the stack starts as shallow as the CLI's own.
+        steps = [f"s{i}" for i in range(leaves)]
+        doc = {
+            "workflow": {"seq": [{"step": s} for s in steps]},
+            "users": ["u1"],
+            "authorizations": {s: ["u1"] for s in steps},
+            "default_unauth_penalty": 1,
+            "constraints": [],
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wfsat.cli", *args, str(path)],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=120,
+        )
+        assert proc.returncode == expected
+        if expected == 3:
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                f"wfsat: workflow nesting exceeds the recursion limit of {sys.getrecursionlimit()}\n"
+            )
+        else:
+            assert proc.stderr == ""
+
+
 class TestErrors:
     def test_missing_file(self):
         assert run_cli("check", "--mode", "strong", "/nonexistent.json")[0] == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import enum
 import itertools
 import json
 import math
@@ -267,6 +268,19 @@ class TestCanonicalJson:
         for value in (Sub(text), text):
             assert canonical_json({"a": [value]}) == '{\n  "a": [\n    "{\\"x\\": 1}"\n  ]\n}\n'
             assert canonical_json({"a": value, "b": [[value]]}) == json_dumps({"a": text, "b": [[text]]})
+
+        class IntSub(int):
+            pass
+
+        class FloatSub(float):
+            pass
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        for value, text in ((IntSub(7), "7"), (FloatSub(0.5), "0.5"), (Level.HIGH, "3")):
+            assert canonical_json({"a": [value]}) == '{\n  "a": [\n    ' + text + '\n  ]\n}\n'
+            assert canonical_json({"a": value, "b": [[value]]}) == json_dumps({"a": value, "b": [[value]]})
 
     def test_unserializable_value_raises(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
