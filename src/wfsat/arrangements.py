@@ -72,9 +72,6 @@ class Arrangement:
     slots: tuple[tuple[str, ...], ...]
     owner: XorFreeInstance = field(compare=False, repr=False)
 
-    def step_set(self) -> frozenset[str]:
-        return frozenset(s for slot in self.slots for s in slot)
-
 
 def eliminate_xor(root: CompositionNode) -> list[XorFreeInstance]:
     """Expand every xor into its two branches, in canonical order.
@@ -181,12 +178,12 @@ def arrangement_of(sequence: Sequence, instance: XorFreeInstance) -> Arrangement
     q = len(release_order) + 1
     slots: list[list[str]] = [[] for _ in range(q)]
     boundary = [position[r] for r in release_order]
-    for s in instance.steps:
+    for s in instance.steps:  # in canonical order, so each slot is sorted
         slot = sum(1 for b in boundary if b < position[s])
         slots[slot].append(s)
     return Arrangement(
         release_order=release_order,
-        slots=tuple(instance.poset.sort_canonical(slot) for slot in slots),
+        slots=tuple(map(tuple, slots)),
         owner=instance,
     )
 

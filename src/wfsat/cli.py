@@ -273,9 +273,10 @@ def _run_enumerate(args, started: float) -> int:
         cap = args.limit if args.limit is not None else DEFAULT_SEQUENCE_CAP
         if total > cap:
             raise SizeLimit(f"{total} execution sequences exceed cap {cap}", total, cap)
-        records = reports.Records(
-            _SequenceRows(instances, total),
-            lambda row: {"type": "sequence", "instance": row[0], "elements": list(row[1])},
+        records = (
+            {"type": "sequence", "instance": i, "elements": list(s)}
+            for i, inst in enumerate(instances)
+            for s in iter_sequences(inst.poset)
         )
     _emit(
         reports.build_report(
@@ -286,19 +287,6 @@ def _run_enumerate(args, started: float) -> int:
         )
     )
     return 0
-
-
-class _SequenceRows:
-    """(instance index, sequence) rows, generated afresh on each iteration."""
-
-    def __init__(self, instances, total: int):
-        self.instances, self.total = instances, total
-
-    def __len__(self) -> int:
-        return self.total
-
-    def __iter__(self):
-        return ((i, s) for i, inst in enumerate(self.instances) for s in iter_sequences(inst.poset))
 
 
 def _run_oracle(args, started: float) -> int:

@@ -30,6 +30,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import SchemaSemanticError, SchemaSyntaxError
 from .model import (
+    ATLEAST,
+    ATMOST,
+    CONSTRAINT_KINDS,
     CompositionNode,
     Par,
     ReleaseLeaf,
@@ -315,9 +318,9 @@ def _parse_constraint(obj, path: str) -> WeightedConstraint:
         if key not in obj:
             raise SchemaSyntaxError(f"missing required key {key!r}", path)
     kind = obj["kind"]
-    if kind not in ("sod", "bod", "atmost", "atleast"):
+    if kind not in CONSTRAINT_KINDS:
         raise SchemaSyntaxError(f"unknown constraint kind {kind!r}", f"{path}.kind")
-    if kind in ("atmost", "atleast"):
+    if kind in (ATMOST, ATLEAST):
         if "k" not in obj:
             raise SchemaSyntaxError(f"{kind} requires k", path)
         k = _parse_int(obj["k"], f"{path}.k")

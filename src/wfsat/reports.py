@@ -1,21 +1,21 @@
 """Machine-readable report construction for the command-line surface.
 
 Reports are plain dicts rendered through :func:`wfsat.io.iter_canonical_json`,
-so identical analyses produce identical bytes, and streamed: arrangement
-and sequence records are :class:`Records`, sized and lazy, built one
-record at a time as the report is written, so a report is never held
-whole in memory.  Arrangement records skip the dict: their text is put
-together from the fixed sorted-key template and fragments memoized per
-report, since most of it repeats.  The cost fields and the witness
-depend only on the solution, ``choices`` only on the instance,
-``release_order`` only on the order and each slot only on itself.  The
-shape is published as a JSON Schema in ``report-schema.json`` next to
-this module.
+so identical analyses produce identical bytes, and streamed: records
+are lazy iterables, built one record at a time as the report is
+written, so a report is never held whole in memory.  Arrangement records
+are :class:`ArrangementRecords`, sized and re-iterable, and skip the
+dict: their text is put together from the fixed sorted-key template and
+fragments memoized per report, since most of it repeats.  The cost
+fields and the witness depend only on the solution, ``choices`` only on
+the instance, ``release_order`` only on the order and each slot only on
+itself.  The shape is published as a JSON Schema in
+``report-schema.json`` next to this module.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from importlib import resources
 
@@ -52,29 +52,21 @@ def arrangement_record(record: ArrangementRecord) -> dict:
     }
 
 
-class Records:
-    """Report records built lazily, one per row of ``rows``.
+class ArrangementRecords(Prerendered):
+    """:func:`arrangement_record` of each row, written from memoized text.
 
-    ``len()`` is ``len(rows)``; each iteration maps ``build`` over the rows
-    afresh, so a record exists only while it is being written.
+    ``len()`` is ``len(rows)``; each iteration builds the records afresh,
+    so a record exists only while it is being written.
     """
 
-    def __init__(self, rows: Sequence, build: Callable[..., dict]):
+    def __init__(self, rows: Sequence[ArrangementRecord]):
         self._rows = rows
-        self._build = build
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __iter__(self) -> Iterator[dict]:
-        return map(self._build, self._rows)
-
-
-class ArrangementRecords(Records, Prerendered):
-    """:func:`arrangement_record` of each row, written from memoized text."""
-
-    def __init__(self, rows: Sequence[ArrangementRecord]):
-        super().__init__(rows, arrangement_record)
+        return map(arrangement_record, self._rows)
 
     def texts(self, pad: str) -> Iterator[str]:
         return map(_arrangement_text(pad), self._rows)
@@ -176,7 +168,7 @@ def analysis_aggregates(analysis: Analysis, budget: Fraction | None) -> dict:
 def build_report(
     problem: str,
     *,
-    records: Records | list[dict],
+    records: Iterable[dict],
     totals: dict,
     answer: bool | None = None,
     value=None,

@@ -335,7 +335,8 @@ def min_cost_arrangement(
         for c in schema.constraints
         for cc in decompose_constraint(c, arrangement, schema)
     ]
-    steps = schema.sort_canonical(arrangement.step_set())
+    # Slots partition the owner's steps, which are in canonical order.
+    steps = arrangement.owner.steps
 
     parent = {s: s for s in steps}
 
@@ -350,15 +351,15 @@ def min_cost_arrangement(
         for s in cc.scope[1:]:
             parent[find(s)] = find(anchor)
 
+    # Made in step order, so in the canonical order of their first steps.
     components: dict[str, list[str]] = {}
     for s in steps:
         components.setdefault(find(s), []).append(s)
-    ordered = sorted(components.values(), key=lambda c: schema.element_index[c[0]])
 
     plan: Plan = {}
     constraint_weight = 0
     authorization_weight = 0
-    for component in ordered:
+    for component in components.values():
         member = set(component)
         local = [cc for cc in classical if cc.scope[0] in member]
         solution = cache.solve(tuple(component), local, schema)

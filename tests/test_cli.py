@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import jsonschema
 import pytest
 
 import wfsat
-from wfsat.cli import main
+from wfsat.cli import _build_parser, main
 from wfsat.io import save_schema
 from wfsat.reports import report_schema
 
@@ -406,3 +408,13 @@ def test_imports_need_neither_numpy_nor_scipy():
         [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def test_readme_synopsis_lists_each_verbs_options():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    (verbs,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for verb, sub in verbs.choices.items():
+        # A verb's synopsis line starts with the verb and ends with its FILE.
+        (line,) = (x for x in readme if x.startswith(f"wfsat {verb} ") and x.endswith(" FILE"))
+        options = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z]+", line)) == options, verb

@@ -71,6 +71,16 @@ class TestParse:
         assert schema.budget == Fraction(25, 7)
         assert schema.probability == Fraction(2, 7)
 
+    def test_integer_budget_is_a_fraction(self):
+        doc = json.loads(fixture_text("purchase_order_restricted.json"))
+        doc["budget"] = 5
+        budget = parse_ccws(json.dumps(doc)).budget
+        assert type(budget) is Fraction and budget == 5
+
+    def test_top_level_array_rejected(self):
+        with pytest.raises(SchemaSyntaxError, match="must be a JSON object"):
+            parse_ccws("[]")
+
 
 MUTATIONS_SYNTAX = [
     lambda d: d.update(extra_key=1),
@@ -84,6 +94,11 @@ MUTATIONS_SYNTAX = [
     lambda d: d.__setitem__("budget", "1/0"),
     lambda d: d.__setitem__("budget", "half"),
     lambda d: d.__setitem__("default_unauth_penalty", "10"),
+    lambda d: d.__setitem__("users", "u1"),  # not a list
+    lambda d: d.__setitem__("workflow", {"loop": [{"step": "s1"}]}),  # unknown node kind
+    lambda d: d["constraints"][0].update(note="x"),  # unknown constraint key
+    lambda d: d["constraints"][0].update(kind="atmost"),  # atmost without k
+    lambda d: d.__setitem__("budget", 2.5),  # not a rational string
 ]
 
 MUTATIONS_SEMANTIC = [
@@ -103,6 +118,9 @@ MUTATIONS_SEMANTIC = [
     lambda d: d.__setitem__("budget", "-5"),
     lambda d: d.__setitem__("probability", "9/7"),
     lambda d: d["workflow"]["seq"].append({"step": "s1"}),  # duplicate leaf
+    lambda d: d["workflow"]["seq"].append({"release": "s1"}),  # step and release
+    lambda d: d.__setitem__("step_unauth_penalty", {"s9": 2}),  # undeclared step
+    lambda d: d["constraints"][0].update(scope=["s1", "s2", "s2"]),  # repeated scope step
 ]
 
 
@@ -158,10 +176,13 @@ class TestRoundTrip:
             authorizations={s: frozenset(("u1",)) for s in ("a", "b")},
             default_unauth_penalty=1,
             budget=Fraction(25, 7),
+            probability=Fraction(2, 7),
         )
         assert '"budget": "25/7"' in write_ccws(schema)
+        assert '"probability": "2/7"' in write_ccws(schema)
         round_tripped = parse_ccws(write_ccws(schema))
         assert round_tripped.budget == Fraction(25, 7)
+        assert round_tripped.probability == Fraction(2, 7)
 
 
 def json_dumps(value) -> str:
@@ -359,7 +380,7 @@ class TestStreaming:
         report = {
             "problem": "solve",
             "totals": {"arrangements": n},
-            "records": reports.Records(range(n), arrangement_shaped),
+            "records": map(arrangement_shaped, range(n)),
         }
         tracemalloc.start()
         try:

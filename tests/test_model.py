@@ -160,6 +160,15 @@ class TestValidateSchema:
         codes = {v.code for v in validate_schema(schema)}
         assert "bad-k" in codes and "bad-weight" in codes
 
+    def test_unknown_kind(self):
+        schema = Schema(
+            workflow=seq(step("a"), step("b")),
+            users=("u1",),
+            authorizations={"a": frozenset(("u1",)), "b": frozenset(("u1",))},
+            constraints=(WeightedConstraint(id="c1", kind="mystery", scope=("a", "b"), weight=1),),
+        )
+        assert [v.code for v in validate_schema(schema)] == ["unknown-kind"]
+
 
 def test_gen_sequences_equal_linear_extensions_small():
     # Cross-check against the independent permutation filter.

@@ -146,6 +146,9 @@ class TestEquivalence:
         s = ("s1", "r", "s2")
         assert equivalent(s, s, {"r"})
 
+    def test_different_step_sets(self):
+        assert not equivalent(("s1", "r", "s2"), ("s1", "r", "s3"), {"r"})
+
     def test_equivalence_relation_on_generated_sequences(self, purchase_order, small_corpus):
         for schema in [purchase_order] + small_corpus[:12]:
             for instance in eliminate_xor(schema.workflow):

@@ -190,6 +190,9 @@ class TestMinAuthWeight:
         with pytest.raises(TooManyBlocks):
             min_auth_weight(Partition((("s",), ("t",))), schema)
 
+    def test_no_blocks_cost_nothing(self):
+        assert min_auth_weight(Partition(()), tiny_schema(("u1",), {})) == (0, ())
+
     def test_matches_exhaustive_assignment_search(self):
         rng = random.Random(99)
         for _ in range(60):
@@ -255,6 +258,10 @@ class TestSolveVwsp:
         got = solve_vwsp((), [], schema)
         assert got.total == 0 and got.plan == {}
 
+    def test_steps_without_users(self):
+        with pytest.raises(TooManyBlocks, match="no users"):
+            solve_vwsp(("s", "t"), [], tiny_schema((), {}))
+
     def test_partition_counter_bounded_by_bell(self):
         rng = random.Random(1)
         for _ in range(20):
@@ -288,6 +295,9 @@ class TestIterPartitions:
         parts = list(iter_partitions(("a", "b"), 2))
         assert parts[0] == Partition((("a", "b"),))
         assert parts[1] == Partition((("a",), ("b",)))
+
+    def test_no_items_one_empty_partition(self):
+        assert list(iter_partitions([], 3)) == [Partition(())]
 
 
 class TestMinCostArrangement:
