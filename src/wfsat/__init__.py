@@ -2,11 +2,11 @@
 constrained compositional workflows with release points.
 
 The pipeline: eliminate xor branchings, enumerate execution arrangements
-(equivalence classes of execution sequences), and solve one Valued WSP
-per cost signature (arrangements that place every constraint's scope
-steps in the same release spans share it) by set-partition patterns plus
-min-cost matching.  A deliberately independent brute-force oracle backs
-every derived value.
+(equivalence classes of execution sequences), and run one solve per
+decomposition grouping (arrangements that split every constraint's scope
+steps into the same groups at its release points share it) by
+set-partition patterns plus min-cost matching.  A deliberately
+independent brute-force oracle backs every derived value.
 """
 
 from .arrangements import (

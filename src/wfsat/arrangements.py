@@ -5,9 +5,9 @@ on the order of release points, the executed step set, and each step's
 position relative to the release points.  It is represented compactly as
 alternating step slots and release points (S1, r1, S2, ..., r_{q-1}, Sq).
 All sequences of one arrangement admit plans of identical cost, and that
-cost depends only on the arrangement's cost signature (see
-:func:`wfsat.solver.cost_signature`), so the solver runs one optimization
-per cost signature.
+cost depends only on the arrangement's decomposition grouping (see
+:func:`wfsat.solver.cost_signature`), so the pipeline runs one solve per
+decomposition grouping.
 """
 
 from __future__ import annotations

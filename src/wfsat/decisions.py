@@ -2,8 +2,9 @@
 
 Every procedure runs the same pipeline once: eliminate xor branchings,
 enumerate the execution arrangements of each xor-free instance, count the
-sequences in each arrangement's class, and solve one Valued WSP per cost
-signature (arrangements of an instance with equal signatures share their
+sequences in each arrangement's class, and run one solve per
+decomposition grouping (arrangements of an instance that split every
+constraint's scope steps alike at its release points share their
 minimum-cost plan).  The pipeline fills one table, ``Analysis.mass``: the
 number of execution sequences at each minimum cost.  Every decision reads
 that table: strong satisfiability (no sequence above cost zero), bounded
@@ -28,7 +29,13 @@ from .arrangements import (
 )
 from .errors import ZeroWeight
 from .model import Schema
-from .solver import CostedPlan, SolveCache, min_cost_arrangement, signature_function
+from .solver import (
+    CostedPlan,
+    SolveCache,
+    grouping_function,
+    min_cost_arrangement,
+    signature_function,
+)
 
 
 @dataclass(slots=True)
@@ -81,10 +88,12 @@ class Analysis:
 def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     """Run the full pipeline; records come out in canonical order.
 
-    Arrangements of one instance with equal cost signatures share one
-    minimum-cost plan, so it is computed once per signature.  The
-    analysis is serial.  ``jobs`` is accepted for compatibility and
-    ignored.
+    Arrangements of one instance with equal decomposition groupings share
+    one minimum-cost plan (see :func:`wfsat.solver.cost_signature`), so
+    there is one solve per decomposition grouping.  The grouping is
+    derived from the arrangement's cost signature, once per distinct
+    signature.  The analysis is serial.  ``jobs`` is accepted for
+    compatibility and ignored.
     """
     instances = eliminate_xor(schema.workflow)
     cache = SolveCache()
@@ -92,16 +101,22 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     mass: dict[int, int] = {}
     for i, instance in enumerate(instances):
         by_signature: dict[tuple[int, ...], CostedPlan] = {}
+        by_grouping: dict[tuple[int, ...], CostedPlan] = {}
+        grouping = grouping_function(schema, instance.steps)
         arrangements = enumerate_arrangements(instance)
         for order, group in itertools.groupby(arrangements, attrgetter("release_order")):
-            signature = signature_function(order, schema)
+            signature = signature_function(order, schema, instance.steps)
             for arrangement in group:
                 key = signature(arrangement)
                 solution = by_signature.get(key)
                 if solution is None:
-                    solution = by_signature[key] = min_cost_arrangement(
-                        arrangement, schema, cache
-                    )
+                    grouped = grouping(key)
+                    solution = by_grouping.get(grouped)
+                    if solution is None:
+                        solution = by_grouping[grouped] = min_cost_arrangement(
+                            arrangement, schema, cache
+                        )
+                    by_signature[key] = solution
                 count = count_sequences(arrangement)
                 records.append(ArrangementRecord(i, arrangement, count, solution))
                 mass[solution.total] = mass.get(solution.total, 0) + count
@@ -144,10 +159,14 @@ def check_strong_sat(schema_or_analysis) -> tuple[bool, ArrangementRecord | None
 
     By cost invariance within a class and positivity of all weights, this
     holds iff every arrangement's minimum cost is zero.  Returns the first
-    failing arrangement as a witness.
+    failing arrangement as a witness.  The weights are checked before
+    any analysis runs.
     """
+    if isinstance(schema_or_analysis, Analysis):
+        guard_zero_weights(schema_or_analysis.schema)
+    else:
+        guard_zero_weights(schema_or_analysis)
     analysis = _as_analysis(schema_or_analysis)
-    guard_zero_weights(analysis.schema)
     if analysis.max_cost == 0:
         return True, None
     return False, next(r for r in analysis.records if r.min_cost > 0)

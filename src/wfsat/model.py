@@ -189,10 +189,6 @@ class Poset:
     def comparable(self, a: str, b: str) -> bool:
         return self.less(a, b) or self.less(b, a)
 
-    def sort_canonical(self, ids) -> tuple[str, ...]:
-        """Sort ids by canonical element index."""
-        return tuple(sorted(ids, key=self.index.__getitem__))
-
     def restrict(self, ids) -> Poset:
         """The induced order on ``ids``, its elements in canonical order."""
         keep = sorted(map(self.index.__getitem__, ids))

@@ -116,33 +116,68 @@ def cost_signature(arrangement: Arrangement, schema: Schema) -> tuple[int, ...]:
     For each constraint, one entry per scope step of the arrangement: the
     number of the constraint's release points placed before the step's
     slot, which is the index of the segment :func:`decompose_constraint`
-    puts the step in.  The signature therefore fixes the classical
-    constraints decomposition yields, in order (a segment is vacuous
-    exactly when it holds no scope step, or too few for its bound).
-    Together with the step set, which is the instance's, it fixes the
-    components and the canonical witness of :func:`min_cost_arrangement`.
-    The per-constraint entries are concatenated in constraint order; each
-    constraint contributes a fixed number of them within one instance.
+    puts the step in.  The per-constraint entries are concatenated in
+    constraint order; each constraint contributes a fixed number of them
+    within one instance.
+
+    The signature is finer than the solve needs.  Decomposition reads of
+    each constraint only which of its scope steps share a segment: a
+    subscope's threshold depends on sizes alone, its scope is sorted
+    canonically, and a segment holding no scope step is vacuous.  The
+    segment index survives only in the order of the classical constraints
+    and in ``ClassicalConstraint.origin``; the components, the solve key
+    and the summed weights read neither.  So arrangements of an instance
+    whose signatures agree after :func:`grouping_function` relabels each
+    constraint's segments by first appearance share their minimum-cost
+    plan, witness included, and ``analyze`` runs one solve per
+    decomposition grouping.
     """
-    return signature_function(arrangement.release_order, schema)(arrangement)
+    return signature_function(arrangement.release_order, schema, arrangement.owner.steps)(
+        arrangement
+    )
 
 
-def signature_function(release_order: tuple[str, ...], schema: Schema):
-    """:func:`cost_signature` for arrangements with this release order.
+def signature_function(release_order: tuple[str, ...], schema: Schema, steps):
+    """:func:`cost_signature` for arrangements over ``steps`` with this release order.
 
-    The segment index of each slot, per constraint, is computed once here
-    rather than once per arrangement.
+    Scope steps absent from ``steps`` are dropped, and the segment index
+    of each slot is found per constraint, once here rather than once per
+    arrangement.
     """
+    present = set(steps)
     entries: list[tuple[list[int], str]] = []
     for c in schema.constraints:
         segment_of_slot = _segment_of_slot(release_order, c)
-        entries.extend((segment_of_slot, s) for s in c.scope)
+        entries.extend((segment_of_slot, s) for s in c.scope if s in present)
 
     def signature(arrangement: Arrangement) -> tuple[int, ...]:
         slot_of = {s: d for d, slot in enumerate(arrangement.slots) for s in slot}
-        return tuple(segments[slot_of[s]] for segments, s in entries if s in slot_of)
+        return tuple([segments[slot_of[s]] for segments, s in entries])
 
     return signature
+
+
+def grouping_function(schema: Schema, steps):
+    """The decomposition grouping of a :func:`cost_signature` over ``steps``.
+
+    Each constraint's entries are relabelled by first appearance, so the
+    grouping records only which of its scope steps share a segment.
+    """
+    present = set(steps)
+    chunks = []
+    end = 0
+    for c in schema.constraints:
+        start, end = end, end + sum(s in present for s in c.scope)
+        chunks.append((start, end))
+
+    def grouping(signature: tuple[int, ...]) -> tuple[int, ...]:
+        out: list[int] = []
+        for start, end in chunks:
+            labels: dict[int, int] = {}
+            out.extend([labels.setdefault(x, len(labels)) for x in signature[start:end]])
+        return tuple(out)
+
+    return grouping
 
 
 def iter_partitions(items, max_blocks: int):

@@ -137,6 +137,31 @@ def arrangements_by_filter(instance: XorFreeInstance) -> list[Arrangement]:
     return out
 
 
+def span_grouping(arrangement: Arrangement, schema: Schema) -> tuple[int, ...]:
+    """Which scope steps of each constraint share a release span.
+
+    Walks the arrangement as S1, r1, S2, ..., Sq, counting each
+    constraint's release points as they pass, so every executed scope step
+    gets the number of its span.  Per constraint, in scope order, the
+    spans are renumbered 0, 1, ... by first appearance; the constraints'
+    numbers are concatenated in constraint order.
+    """
+    out: list[int] = []
+    for c in schema.constraints:
+        span_of: dict[str, int] = {}
+        passed = 0
+        for d, slot in enumerate(arrangement.slots):
+            if d:
+                passed += arrangement.release_order[d - 1] in c.release
+            for s in slot:
+                span_of[s] = passed
+        renumbered: dict[int, int] = {}
+        for s in c.scope:
+            if s in span_of:
+                out.append(renumbered.setdefault(span_of[s], len(renumbered)))
+    return tuple(out)
+
+
 def export_dot_by_contraction(node: CompositionNode) -> str:
     """Workflow DAG in DOT form, by wrapping every element and contracting.
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from wfsat import decisions
+from wfsat.arrangements import eliminate_xor, enumerate_arrangements
 from wfsat.decisions import (
     analyze,
     check_approx,
@@ -20,7 +22,9 @@ from wfsat.model import Schema, WeightedConstraint, par, seq, step
 from wfsat.oracle import oracle_decide
 from wfsat.sequences import sequence_count
 
+from helpers import span_grouping
 from randgen import random_schema
+from test_acceptance import synthetic_schema
 
 REFERENCE_ORDER = [
     (("s1", "s2", "s3", "s5"), ("s4", "s6")),
@@ -140,6 +144,20 @@ class TestStrongSat:
         with pytest.raises(ZeroWeight):
             check_strong_sat(zero_constraint)
 
+    def test_zero_weight_schema_raises_before_analysis(self, monkeypatch):
+        def analyze_unreached(*args, **kwargs):
+            raise AssertionError("analyze ran before the weight check")
+
+        monkeypatch.setattr(decisions, "analyze", analyze_unreached)
+        schema = Schema(
+            workflow=seq(step("a"), step("b")),
+            users=("u1", "u2"),
+            authorizations={"a": frozenset(("u1",)), "b": frozenset(("u1",))},
+            default_unauth_penalty=0,
+        )
+        with pytest.raises(ZeroWeight):
+            check_strong_sat(schema)
+
     def test_zero_penalty_harmless_when_fully_authorized(self):
         schema = Schema(
             workflow=seq(step("a"), step("b")),
@@ -148,6 +166,39 @@ class TestStrongSat:
             default_unauth_penalty=0,
         )
         assert check_strong_sat(schema)[0] is True
+
+
+class TestSolveCount:
+    @staticmethod
+    def solves(monkeypatch, schema) -> int:
+        calls = []
+        solve = decisions.min_cost_arrangement
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(decisions, "min_cost_arrangement", counted)
+        analyze(schema)
+        return len(calls)
+
+    @staticmethod
+    def groupings(schema) -> int:
+        return len(
+            {
+                (i, span_grouping(arr, schema))
+                for i, inst in enumerate(eliminate_xor(schema.workflow))
+                for arr in enumerate_arrangements(inst)
+            }
+        )
+
+    def test_one_solve_per_decomposition_grouping(self, monkeypatch, small_corpus):
+        for schema in small_corpus:
+            assert self.solves(monkeypatch, schema) == self.groupings(schema)
+
+    def test_scaling_schema_solve_count(self, monkeypatch):
+        schema = synthetic_schema()
+        assert self.solves(monkeypatch, schema) == self.groupings(schema) == 12
 
 
 class TestBoundedCost:

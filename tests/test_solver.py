@@ -25,6 +25,7 @@ from wfsat.solver import (
     SolveCache,
     cost_signature,
     decompose_constraint,
+    grouping_function,
     iter_partitions,
     min_auth_weight,
     min_cost_arrangement,
@@ -32,7 +33,7 @@ from wfsat.solver import (
     solve_vwsp,
 )
 
-from helpers import bell, exhaustive_min_plan
+from helpers import bell, exhaustive_min_plan, span_grouping
 from randgen import random_schema
 
 
@@ -370,6 +371,29 @@ class TestCostSignature:
                     first = seen.setdefault(cost_signature(arr, schema), got)
                     assert got == first
                     assert list(got.plan.items()) == list(first.plan.items())
+
+    def test_equal_groupings_have_equal_plans(self, schemas):
+        # The invariant analyze's grouping memo relies on, witness included.
+        coarser = 0
+        for schema in schemas:
+            signatures = groupings = 0
+            for inst in eliminate_xor(schema.workflow):
+                grouping = grouping_function(schema, inst.steps)
+                seen_signatures = set()
+                seen = {}
+                for arr in enumerate_arrangements(inst):
+                    signature = cost_signature(arr, schema)
+                    key = span_grouping(arr, schema)
+                    assert grouping(signature) == key
+                    got = min_cost_arrangement(arr, schema, cache=None)
+                    first = seen.setdefault(key, got)
+                    assert got == first
+                    assert list(got.plan.items()) == list(first.plan.items())
+                    seen_signatures.add(signature)
+                signatures += len(seen_signatures)
+                groupings += len(seen)
+            coarser += groupings < signatures
+        assert coarser > 0
 
     def test_analyze_records_match_uncached_solves(self, schemas):
         for schema in schemas:
