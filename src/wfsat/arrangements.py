@@ -8,6 +8,11 @@ All sequences of one arrangement admit plans of identical cost, and that
 cost depends only on the arrangement's decomposition grouping (see
 :func:`wfsat.solver.cost_signature`), so the pipeline runs one solve per
 decomposition grouping.
+
+The enumeration is an odometer loop, not a recursion, so a long chain of
+steps costs no stack.  It grows each slot one step at a time from tuples
+it has already made, so the arrangements of one enumeration share one
+tuple per distinct slot content.
 """
 
 from __future__ import annotations
@@ -63,7 +68,9 @@ class Arrangement:
     """Compact representative (S1, r1, ..., r_{q-1}, Sq) of one ~-class.
 
     ``slots`` has exactly ``len(release_order) + 1`` entries, each sorted
-    canonically; empty slots are permitted.  Slots partition the owner's
+    canonically; empty slots are permitted.  Within one
+    :func:`enumerate_arrangements` call, equal slots are the same tuple
+    object, shared between the arrangements.  Slots partition the owner's
     steps, the release order linearly extends the owner's poset, and no
     ordering constraint of the poset crosses the slot structure backwards.
     """
@@ -116,6 +123,14 @@ def enumerate_arrangements(instance: XorFreeInstance) -> list[Arrangement]:
     order puts it first.  Digits are assigned depth first in step order,
     which linearly extends the poset, so each step's digit starts at the
     largest digit of its predecessors and no infeasible vector is built.
+
+    The walk is an odometer over a stack of digits: it descends placing
+    each step at its lowest digit, emits the slot vector, then moves the
+    last step that can still go up one slot and descends again.  Placing
+    a step appends it to its slot's tuple through a memo kept for the
+    whole call, and backtracking puts the old tuple back, so every
+    distinct slot content is built once and shared by every arrangement
+    that holds it.
     """
     poset = instance.poset
     steps = list(instance.steps)
@@ -125,40 +140,53 @@ def enumerate_arrangements(instance: XorFreeInstance) -> list[Arrangement]:
     preds = [[i for i in range(j) if poset.less(steps[i], steps[j])] for j in range(n)]
 
     out: list[Arrangement] = []
+    # extended[id(slot), j] is slot + (steps[j],).  It keeps every tuple it
+    # made alive until the call returns, so no id is reused meanwhile.
+    extended: dict[tuple[int, int], tuple[str, ...]] = {}
     for release_order in iter_sequences(poset.restrict(instance.releases)):
         # Feasible slot interval per step: a step sits after every release
         # point below it and before every release point above it.
         lows, highs = [], []
         for s in steps:
             lo, hi = 0, q - 1
-            for j, r in enumerate(release_order):
+            for k, r in enumerate(release_order):
                 if poset.less(r, s):
-                    lo = max(lo, j + 1)
+                    lo = max(lo, k + 1)
                 if poset.less(s, r):
-                    hi = min(hi, j)
+                    hi = min(hi, k)
             lows.append(lo)
             highs.append(hi)
+        # Step j sits in slot digits[j], which it grew from below[j].
+        slots: list[tuple[str, ...]] = [()] * q
         digits = [0] * n
-
-        def place(j: int) -> None:
-            if j == n:
-                slots: list[list[str]] = [[] for _ in range(q)]
-                for s, d in zip(steps, digits):
-                    slots[d].append(s)
-                out.append(
-                    Arrangement(
-                        release_order=release_order,
-                        slots=tuple(tuple(slot) for slot in slots),
-                        owner=instance,
-                    )
-                )
-                return
-            lo = max([lows[j]] + [digits[i] for i in preds[j]])
-            for d in range(lo, highs[j] + 1):
+        below: list[tuple[str, ...]] = [()] * n
+        j, d = 0, lows[0] if n else 0  # step 0 has no predecessors
+        while j >= 0:
+            if j < n and d <= highs[j]:
+                slot = below[j] = slots[d]
+                key = (id(slot), j)
+                grown = extended.get(key)
+                if grown is None:
+                    grown = extended[key] = slot + (steps[j],)
+                slots[d] = grown
                 digits[j] = d
-                place(j + 1)
-
-        place(0)
+                j += 1
+                if j < n:
+                    d = lows[j]
+                    for i in preds[j]:
+                        if digits[i] > d:
+                            d = digits[i]
+                continue
+            if j == n:
+                out.append(
+                    Arrangement(release_order=release_order, slots=tuple(slots), owner=instance)
+                )
+            # Take the last placed step out and move it one slot up.
+            j -= 1
+            if j >= 0:
+                d = digits[j]
+                slots[d] = below[j]
+                d += 1
     return out
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -163,6 +164,36 @@ class TestEnumerateArrangements:
         assert time.perf_counter() - started < 1.0
         assert arr.release_order == tuple(f"r{i}" for i in range(10))
         assert arr.slots == tuple((f"s{i}",) for i in range(11))
+
+    def test_equal_slots_are_one_tuple(
+        self, small_corpus, purchase_order, purchase_order_restricted, purchase_order_no_release
+    ):
+        schemas = [*small_corpus, purchase_order, purchase_order_restricted, purchase_order_no_release]
+        for schema in schemas:
+            for inst in eliminate_xor(schema.workflow):
+                slots = [slot for arr in enumerate_arrangements(inst) for slot in arr.slots]
+                assert len({id(slot) for slot in slots}) == len(set(slots))
+
+    def test_long_chain_does_not_recurse_per_step(self):
+        # Three chunks of 200 steps between two release points.  Everything
+        # else that walks the tree runs under the default limit; the
+        # enumeration itself gets only a little stack above the caller's.
+        chunks = [[f"s{i}" for i in range(k, k + 200)] for k in (0, 200, 400)]
+        nodes = [*map(step, chunks[0]), release("r1"), *map(step, chunks[1])]
+        nodes += [release("r2"), *map(step, chunks[2])]
+        (inst,) = eliminate_xor(seq(*nodes))
+        assert len(inst.steps) == 600 and inst.releases == ("r1", "r2")
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            (arr,) = enumerate_arrangements(inst)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert arr.release_order == ("r1", "r2")
+        assert arr.slots == tuple(map(tuple, chunks))
 
     def test_emitted_arrangements_satisfy_invariants(self, small_corpus):
         for schema in small_corpus[:30]:
