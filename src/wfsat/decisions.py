@@ -90,17 +90,18 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
 
     Arrangements of one instance with equal decomposition groupings share
     one minimum-cost plan (see :func:`wfsat.solver.cost_signature`), so
-    there is one solve per decomposition grouping.  The grouping is
-    derived from the arrangement's cost signature, once per distinct
-    signature.  The analysis is serial.  ``jobs`` is accepted for
-    compatibility and ignored.
+    there is one solve per decomposition grouping.  Each arrangement's
+    cost signature is one ``int``, summed from parts memoized per slot
+    position and slot content, and the grouping is decoded from it once
+    per distinct signature.  The analysis is serial.  ``jobs`` is
+    accepted for compatibility and ignored.
     """
     instances = eliminate_xor(schema.workflow)
     cache = SolveCache()
     records = []
     mass: dict[int, int] = {}
     for i, instance in enumerate(instances):
-        by_signature: dict[tuple[int, ...], CostedPlan] = {}
+        by_signature: dict[int, CostedPlan] = {}
         by_grouping: dict[tuple[int, ...], CostedPlan] = {}
         grouping = grouping_function(schema, instance.steps)
         arrangements = enumerate_arrangements(instance)

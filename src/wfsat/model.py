@@ -27,6 +27,18 @@ Plan = dict[str, str]
 """A (partial) assignment of steps to users."""
 
 
+class Memo(dict):
+    """``memo[key]`` is ``make(key)``, made on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # Composition trees
 

@@ -5,12 +5,12 @@ so identical analyses produce identical bytes, and streamed: records
 are lazy iterables, built one record at a time as the report is
 written, so a report is never held whole in memory.  Arrangement records
 are :class:`ArrangementRecords`, sized and re-iterable, and skip the
-dict: their text is put together from the fixed sorted-key template and
-fragments memoized per report, since most of it repeats.  The cost
-fields and the witness depend only on the solution, ``choices`` only on
-the instance, ``release_order`` only on the order and each slot only on
-itself.  The shape is published as a JSON Schema in
-``report-schema.json`` next to this module.
+dict: each record's text is joined from fragments memoized per report,
+since most of it repeats.  Only the class size is written per record.
+The cost fields, ``choices``, the instance and the witness are joined
+into three fragments keyed on the solution and the instance, and the
+release order and each slot are keyed on their content.  The shape is
+published as a JSON Schema in ``report-schema.json`` next to this module.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from importlib import resources
 
 from .decisions import Analysis, ArrangementRecord
 from .io import Prerendered, _render
+from .model import Memo
 from .oracle import OracleReport
 
 
@@ -72,74 +73,74 @@ class ArrangementRecords(Prerendered):
         return map(_arrangement_text(pad), self._rows)
 
 
-class _Memo(dict):
-    """``memo[key]`` is ``make(key)``, made on first use."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key):
-        value = self[key] = self._make(key)
-        return value
-
-
-_FIELDS = (
-    # The keys of arrangement_record, sorted: the order they are written in.
-    "authorization_cost",
-    "choices",
-    "constraint_cost",
-    "count",
-    "instance",
-    "min_cost",
-    "release_order",
-    "slots",
-    "type",
-    "witness",
-)
-_SOLUTION_FIELDS = ("authorization_cost", "constraint_cost", "min_cost", "witness")
-
-
 def _arrangement_text(pad: str) -> Callable[[ArrangementRecord], str]:
     """A renderer of arrangement records nested at ``pad``, with its memos.
 
-    Its text equals ``_render(arrangement_record(record), pad)``.  Slots
-    are memoized one by one, never as whole vectors, whose number grows
-    with the records'.  Solutions are keyed by identity, which stays
-    stable while the records being written hold them.
+    Its text equals ``_render(arrangement_record(record), pad)``, whose
+    keys come in sorted order.  A record is written as ``head + count +
+    mid + order + slots + tail``, each part but the count memoized on the
+    least it depends on:
+
+    * ``head``, on the solution and the instance object: the
+      authorization cost, ``choices``, the constraint cost and the
+      ``"count"`` key.  Unsolved rows of every instance share the solution
+      ``None``, so the instance is part of the key.
+    * ``mid``, on the solution and the instance index: the instance,
+      ``min_cost`` and the ``"release_order"`` key.
+    * ``order``, on the release order's content: the order, the
+      ``"slots"`` key and the opening bracket.
+    * each slot, on its content, never whole slot vectors, whose number
+      grows with the records'.
+    * ``tail``, on the solution: the type and the witness.
+
+    Solutions and instances are keyed by identity, which stays stable
+    while the records being written hold them.
     """
     field = pad + "  "
     item = field + "  "
-    template = "{{" + field + ("," + field).join(f'"{k}": {{}}' for k in _FIELDS) + pad + "}}"
-    choices = _Memo(lambda c: _render(dict(c), field))
-    orders = _Memo(lambda order: _render(order, field))
-    slot = _Memo(lambda s: _render(s, item)).__getitem__
-    comma = "," + item
-    solutions: dict[int, tuple[str, ...]] = {}
-    shared: dict[str, str] = {}  # one copy of each text: solutions mostly share them
+
+    def entries(record: ArrangementRecord, keys: tuple[str, ...]) -> str:
+        reference = arrangement_record(record)
+        return ("," + field).join(f'"{k}": ' + _render(reference[k], field) for k in keys)
+
+    heads: dict[tuple[int, int], str] = {}
+    mids: dict[tuple[int, int], str] = {}
+    tails: dict[int, str] = {}
+    orders = Memo(lambda order: _render(order, field) + "," + field + '"slots": [')
+    slot = Memo(lambda s: item + _render(s, item)).__getitem__
 
     def text(record: ArrangementRecord) -> str:
-        solved = solutions.get(id(record.solution))
-        if solved is None:
-            reference = arrangement_record(record)
-            rendered = (_render(reference[k], field) for k in _SOLUTION_FIELDS)
-            solved = solutions[id(record.solution)] = tuple(
-                shared.setdefault(t, t) for t in rendered
+        solution, arrangement = id(record.solution), record.arrangement
+        key = solution, id(arrangement.owner)
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = (
+                "{" + field
+                + entries(record, ("authorization_cost", "choices", "constraint_cost"))
+                + "," + field + '"count": '
             )
-        authorization, constraint, total, witness = solved
-        arrangement = record.arrangement
-        return template.format(  # positionally, in the order of _FIELDS
-            authorization,
-            choices[arrangement.owner.choices],
-            constraint,
-            record.count,
-            record.instance_index,
-            total,
-            orders[arrangement.release_order],
-            # An arrangement has at least one slot.
-            "[" + item + comma.join(map(slot, arrangement.slots)) + field + "]",
-            '"arrangement"',
-            witness,
+        key = solution, record.instance_index
+        mid = mids.get(key)
+        if mid is None:
+            mid = mids[key] = (
+                "," + field + entries(record, ("instance", "min_cost"))
+                + "," + field + '"release_order": '
+            )
+        tail = tails.get(solution)
+        if tail is None:
+            tail = tails[solution] = (
+                field + "]," + field + entries(record, ("type", "witness")) + pad + "}"
+            )
+        return "".join(
+            (
+                head,
+                str(record.count),
+                mid,
+                orders[arrangement.release_order],
+                # An arrangement has at least one slot.
+                ",".join(map(slot, arrangement.slots)),
+                tail,
+            )
         )
 
     return text

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
+from operator import getitem
 
 from .arrangements import Arrangement
 from .errors import TooManyBlocks
 from .model import (
+    Memo,
     Plan,
     Schema,
     WeightedConstraint,
@@ -110,15 +112,18 @@ def decompose_constraint(
     return out
 
 
-def cost_signature(arrangement: Arrangement, schema: Schema) -> tuple[int, ...]:
+def cost_signature(arrangement: Arrangement, schema: Schema) -> int:
     """The coarse part of an arrangement that fixes its minimum-cost plan.
 
     For each constraint, one entry per scope step of the arrangement: the
     number of the constraint's release points placed before the step's
     slot, which is the index of the segment :func:`decompose_constraint`
-    puts the step in.  The per-constraint entries are concatenated in
-    constraint order; each constraint contributes a fixed number of them
-    within one instance.
+    puts the step in.  The entries are packed into one ``int``, in
+    constraint order and then scope order, each in a bit field of its own.
+    A segment index never exceeds the constraint's release count, so a
+    field of ``max(1, len(constraint.release).bit_length())`` bits holds
+    it.  The layout depends only on the schema and the instance's steps,
+    so within one instance equal signatures mean equal entries.
 
     The signature is finer than the solve needs.  Decomposition reads of
     each constraint only which of its scope steps share a segment: a
@@ -137,22 +142,45 @@ def cost_signature(arrangement: Arrangement, schema: Schema) -> tuple[int, ...]:
     )
 
 
+def _signature_fields(schema: Schema, steps) -> list[tuple[int, str, int, int]]:
+    """(constraint index, scope step, bit offset, width) of each entry of a
+    :func:`cost_signature` over ``steps``, in the signature's order."""
+    present = set(steps)
+    fields = []
+    offset = 0
+    for i, c in enumerate(schema.constraints):
+        width = max(1, len(c.release).bit_length())
+        for s in c.scope:
+            if s in present:
+                fields.append((i, s, offset, width))
+                offset += width
+    return fields
+
+
 def signature_function(release_order: tuple[str, ...], schema: Schema, steps):
     """:func:`cost_signature` for arrangements over ``steps`` with this release order.
 
-    Scope steps absent from ``steps`` are dropped, and the segment index
-    of each slot is found per constraint, once here rather than once per
-    arrangement.
+    A slot's entries depend only on its content and its position, so the
+    signature is the sum, over the slots, of a part memoized per position
+    and slot content: the segment index of each scope entry in the slot,
+    shifted to that entry's field.
     """
-    present = set(steps)
-    entries: list[tuple[list[int], str]] = []
-    for c in schema.constraints:
-        segment_of_slot = _segment_of_slot(release_order, c)
-        entries.extend((segment_of_slot, s) for s in c.scope if s in present)
+    segment_of_slot = [_segment_of_slot(release_order, c) for c in schema.constraints]
+    shifts: dict[str, list[tuple[list[int], int]]] = {}
+    for i, s, offset, _ in _signature_fields(schema, steps):
+        shifts.setdefault(s, []).append((segment_of_slot[i], offset))
 
-    def signature(arrangement: Arrangement) -> tuple[int, ...]:
-        slot_of = {s: d for d, slot in enumerate(arrangement.slots) for s in slot}
-        return tuple([segments[slot_of[s]] for segments, s in entries])
+    def parts_at(d: int) -> Memo:
+        return Memo(
+            lambda slot: sum(
+                segments[d] << offset for s in slot for segments, offset in shifts.get(s, ())
+            )
+        )
+
+    parts = [parts_at(d) for d in range(len(release_order) + 1)]
+
+    def signature(arrangement: Arrangement) -> int:
+        return sum(map(getitem, parts, arrangement.slots))
 
     return signature
 
@@ -160,21 +188,19 @@ def signature_function(release_order: tuple[str, ...], schema: Schema, steps):
 def grouping_function(schema: Schema, steps):
     """The decomposition grouping of a :func:`cost_signature` over ``steps``.
 
-    Each constraint's entries are relabelled by first appearance, so the
-    grouping records only which of its scope steps share a segment.
+    Each constraint's entries are read back from their bit fields and
+    relabelled by first appearance, so the grouping records only which of
+    its scope steps share a segment.
     """
-    present = set(steps)
-    chunks = []
-    end = 0
-    for c in schema.constraints:
-        start, end = end, end + sum(s in present for s in c.scope)
-        chunks.append((start, end))
+    chunks: dict[int, tuple[list[int], int]] = {}
+    for i, _, offset, width in _signature_fields(schema, steps):
+        chunks.setdefault(i, ([], (1 << width) - 1))[0].append(offset)
 
-    def grouping(signature: tuple[int, ...]) -> tuple[int, ...]:
+    def grouping(signature: int) -> tuple[int, ...]:
         out: list[int] = []
-        for start, end in chunks:
+        for offsets, mask in chunks.values():
             labels: dict[int, int] = {}
-            out.extend([labels.setdefault(x, len(labels)) for x in signature[start:end]])
+            out.extend([labels.setdefault(signature >> o & mask, len(labels)) for o in offsets])
         return tuple(out)
 
     return grouping

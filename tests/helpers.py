@@ -137,6 +137,25 @@ def arrangements_by_filter(instance: XorFreeInstance) -> list[Arrangement]:
     return out
 
 
+def signature_by_slots(arrangement: Arrangement, schema: Schema) -> tuple[int, ...]:
+    """The cost signature as a tuple, by a walk over the slots.
+
+    For each constraint in order and each of its scope steps the
+    arrangement executes, in scope order: the number of the constraint's
+    release points placed before the step's slot.  The reference for
+    :func:`wfsat.solver.cost_signature`, which packs the same entries into
+    one ``int``.
+    """
+    slot_of = {s: d for d, slot in enumerate(arrangement.slots) for s in slot}
+    out: list[int] = []
+    for c in schema.constraints:
+        passed = [0]
+        for r in arrangement.release_order:
+            passed.append(passed[-1] + (r in c.release))
+        out.extend(passed[slot_of[s]] for s in c.scope if s in slot_of)
+    return tuple(out)
+
+
 def span_grouping(arrangement: Arrangement, schema: Schema) -> tuple[int, ...]:
     """Which scope steps of each constraint share a release span.
 

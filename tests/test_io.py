@@ -31,7 +31,7 @@ from wfsat.io import (
     save_schema,
     write_ccws,
 )
-from wfsat.model import Schema, par, release, seq, step, xor
+from wfsat.model import Schema, par, release, seq, step, validate_schema, xor
 
 from helpers import export_dot_by_contraction, run_cli
 from randgen import corpus, random_schema
@@ -364,6 +364,22 @@ class TestRecordText:
             for pad in ("\n", "\n    ", "\n" + " " * 10):
                 expected = [_render(reports.arrangement_record(r), pad) for r in rows]
                 assert list(records.texts(pad)) == expected
+
+    def test_unsolved_rows_keep_their_instance_choices(self):
+        # Unsolved rows of both instances share the solution None and the
+        # same slot contents; only the instance tells their choices apart.
+        schema = Schema(
+            workflow=par(seq(step("s1"), xor(release("r1"), release("r2"))), step("s2")),
+            users=("u1",),
+            authorizations={"s1": frozenset({"u1"}), "s2": frozenset({"u1"})},
+        )
+        assert validate_schema(schema) == []
+        rows = unsolved_rows(schema)
+        slots = [{r.arrangement.slots for r in rows if r.instance_index == i} for i in (0, 1)]
+        assert slots[0] == slots[1]
+        for pad in ("\n", "\n    "):
+            expected = [_render(reports.arrangement_record(r), pad) for r in rows]
+            assert list(reports.ArrangementRecords(rows).texts(pad)) == expected
 
     @pytest.mark.parametrize("depth", [0, 1, 3])
     def test_written_at_the_depth_of_the_stream(self, depth, purchase_order):

@@ -1,9 +1,11 @@
 """Byte identity of every CLI verb on the reference inputs.
 
 ``fixtures/digests/report_digests.json`` holds the exit code and the
-sha256 of stdout for each (input, verb) pair below.  A change that is
-meant to leave reports alone must leave every digest alone.  To record
-the digests again after a deliberate change to the report bytes, run
+sha256 of stdout for each (input, verb) pair below, and for two verbs on
+the heavy schema: 86,011 arrangement records over 4 release points, which
+the small inputs are too small to exercise.  A change that is meant to
+leave reports alone must leave every digest alone.  To record the digests
+again after a deliberate change to the report bytes, run
 ``PYTHONPATH=src python tests/test_report_digests.py``.
 
 The digests live in a subdirectory because the benchmark corpus loads
@@ -12,15 +14,18 @@ every ``*.json`` directly under ``fixtures/`` as a schema.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from wfsat.cli import main
 from wfsat.io import save_schema
 
-from helpers import run_cli
+from randgen import random_schema
 from test_acceptance import synthetic_schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,17 +47,53 @@ VERBS = {
 }
 
 
+GENERATED = {
+    "synthetic": synthetic_schema,
+    "heavy": lambda: random_schema(
+        7,
+        max_effort=None,
+        max_steps=12,
+        max_users=8,
+        max_releases=4,
+        max_xors=2,
+        max_constraints=10,
+    ),
+}
+
+
 def input_path(name: str, directory: Path) -> Path:
-    if name != "synthetic":
+    if name not in GENERATED:
         return FIXTURES / f"{name}.json"
-    path = directory / "synthetic.json"
-    save_schema(synthetic_schema(), path)
+    path = directory / f"{name}.json"
+    save_schema(GENERATED[name](), path)
     return path
 
 
+class _Sha256Stream(io.TextIOBase):
+    """A text stream that hashes what is written to it, holding none of it.
+
+    Heavy's reports run to 70 MB, too much to collect as one string.
+    """
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.hash.update(text.encode("utf-8"))
+        return len(text)
+
+
 def digest(name: str, verb: str, directory: Path) -> dict:
-    code, out = run_cli(*VERBS[verb], str(input_path(name, directory)))
-    return {"exit": code, "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+    out = _Sha256Stream()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*VERBS[verb], str(input_path(name, directory))])
+    return {"exit": code, "sha256": out.hash.hexdigest()}
+
+
+HEAVY_VERBS = ("check-approx", "enumerate-arrangements")
+PAIRS = [(name, verb) for name in INPUTS for verb in VERBS] + [
+    ("heavy", verb) for verb in HEAVY_VERBS
+]
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +102,7 @@ def recorded():
 
 
 def test_every_pair_is_recorded(recorded):
-    assert set(recorded) == {f"{name} {verb}" for name in INPUTS for verb in VERBS}
+    assert set(recorded) == {f"{name} {verb}" for name, verb in PAIRS}
 
 
 @pytest.mark.parametrize("verb", VERBS)
@@ -70,12 +111,15 @@ def test_report_bytes_are_unchanged(recorded, tmp_path, name, verb):
     assert digest(name, verb, tmp_path) == recorded[f"{name} {verb}"]
 
 
+@pytest.mark.parametrize("verb", HEAVY_VERBS)
+def test_heavy_report_bytes_are_unchanged(recorded, tmp_path, verb):
+    assert digest("heavy", verb, tmp_path) == recorded[f"heavy {verb}"]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
-        table = {
-            f"{name} {verb}": digest(name, verb, Path(scratch)) for name in INPUTS for verb in VERBS
-        }
+        table = {f"{name} {verb}": digest(name, verb, Path(scratch)) for name, verb in PAIRS}
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -33,7 +34,7 @@ from wfsat.solver import (
     solve_vwsp,
 )
 
-from helpers import bell, exhaustive_min_plan, span_grouping
+from helpers import bell, exhaustive_min_plan, signature_by_slots, span_grouping
 from randgen import random_schema
 
 
@@ -394,6 +395,51 @@ class TestCostSignature:
                 groupings += len(seen)
             coarser += groupings < signatures
         assert coarser > 0
+
+    @pytest.fixture(scope="class")
+    def wide_fields(self):
+        """Two random schemas of 8-10 steps and 4 release points, each given
+        a constraint over 3 of them and one over all 4: 2- and 3-bit fields."""
+        out = []
+        for seed, scope in ((10, ("s7", "s2", "s1")), (178, ("s6", "s3", "s2"))):
+            schema = random_schema(seed, max_steps=10, max_releases=4, max_effort=None)
+            releases = tuple(sorted(schema.releases))
+            wide = (
+                WeightedConstraint(id="w3", kind="atmost", scope=scope, release=releases[:3], weight=2, k=1),
+                WeightedConstraint(id="w4", kind="atleast", scope=scope, release=releases, weight=3, k=2),
+            )
+            out.append(dataclasses.replace(schema, constraints=schema.constraints + wide))
+        return out
+
+    def test_wide_fields_reach_their_top_segment(self, wide_fields):
+        # Every release point of w3, and of w4, is placed before a scope step.
+        for schema in wide_fields:
+            wide = schema.constraints[-2:]
+            assert [len(c.release) for c in wide] == [3, 4]
+            for c in wide:
+                alone = dataclasses.replace(schema, constraints=(c,))
+                top = max(
+                    max(signature_by_slots(arr, alone), default=0)
+                    for inst in eliminate_xor(schema.workflow)
+                    for arr in enumerate_arrangements(inst)
+                )
+                assert top == len(c.release)
+
+    def test_packed_key_matches_the_slot_walk(self, schemas, wide_fields):
+        # Within an instance the int key and the reference tuple tell the same
+        # arrangements apart, and the grouping read back from the int is the
+        # span grouping.
+        for schema in schemas + wide_fields:
+            for inst in eliminate_xor(schema.workflow):
+                grouping = grouping_function(schema, inst.steps)
+                tuple_of, key_of = {}, {}
+                for arr in enumerate_arrangements(inst):
+                    key = cost_signature(arr, schema)
+                    reference = signature_by_slots(arr, schema)
+                    assert type(key) is int
+                    assert tuple_of.setdefault(key, reference) == reference
+                    assert key_of.setdefault(reference, key) == key
+                    assert grouping(key) == span_grouping(arr, schema)
 
     def test_analyze_records_match_uncached_solves(self, schemas):
         for schema in schemas:
