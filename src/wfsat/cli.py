@@ -293,6 +293,8 @@ def _run_oracle(args, started: float) -> int:
     schema = load_schema(args.file)
     budget = _budget_of(args, schema, required=args.mode in ("bounded", "expected", "approx"))
     probability = _probability_of(args, schema, required=args.mode == "approx")
+    if args.mode == "strong":
+        decisions.guard_zero_weights(schema)
     cap = args.limit if args.limit is not None else oracle.DEFAULT_ORACLE_CAP
     result = oracle.oracle_decide(schema, budget=budget, probability=probability, cap=cap)
     answer = {

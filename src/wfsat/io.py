@@ -48,7 +48,7 @@ from .model import (
     xor,
 )
 
-_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _NODE_OPS = {"seq": seq, "par": par, "xor": xor}
 
@@ -248,7 +248,7 @@ def _expect(value, kind, path: str):
 
 
 def _parse_id(value, path: str) -> str:
-    if not isinstance(value, str) or not _ID_RE.match(value):
+    if not isinstance(value, str) or not _ID_RE.fullmatch(value):
         raise SchemaSyntaxError(f"not an ASCII identifier: {value!r}", path)
     return value
 

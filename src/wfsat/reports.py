@@ -5,17 +5,18 @@ so identical analyses produce identical bytes, and streamed: records
 are lazy iterables, built one record at a time as the report is
 written, so a report is never held whole in memory.  Arrangement records
 are :class:`ArrangementRecords`, sized and re-iterable, and skip the
-dict: each record's text is joined from fragments memoized per report,
-since most of it repeats.  Only the class size is written per record.
-The cost fields, ``choices``, the instance and the witness are joined
-into three fragments keyed on the solution and the instance, and the
-release order and each slot are keyed on their content.  The shape is
-published as a JSON Schema in ``report-schema.json`` next to this module.
+dict: each solution and instance has one frame, its reference record
+rendered once with the count, release order and slots left as holes,
+and each record fills those holes.  The release order and each slot are
+memoized on their content, so only the class size is written afresh per
+record.  The shape is published as a JSON Schema in
+``report-schema.json`` next to this module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -43,8 +44,8 @@ def arrangement_record(record: ArrangementRecord) -> dict:
         "type": "arrangement",
         "instance": record.instance_index,
         "choices": dict(arrangement.owner.choices),
-        "release_order": list(arrangement.release_order),
-        "slots": [list(slot) for slot in arrangement.slots],
+        "release_order": arrangement.release_order,
+        "slots": arrangement.slots,
         "count": record.count,
         "min_cost": None if solution is None else solution.total,
         "constraint_cost": None if solution is None else solution.constraint_weight,
@@ -73,75 +74,51 @@ class ArrangementRecords(Prerendered):
         return map(_arrangement_text(pad), self._rows)
 
 
+# Stands in for a record's count, release order and slots in its frame.
+_HOLE = "\0"
+
+
 def _arrangement_text(pad: str) -> Callable[[ArrangementRecord], str]:
     """A renderer of arrangement records nested at ``pad``, with its memos.
 
-    Its text equals ``_render(arrangement_record(record), pad)``, whose
-    keys come in sorted order.  A record is written as ``head + count +
-    mid + order + slots + tail``, each part but the count memoized on the
-    least it depends on:
+    Its text equals ``_render(arrangement_record(record), pad)``.  A
+    record's frame is that reference text for the same row with its
+    count, release order and slots set to ``_HOLE``, split at the hole
+    into four pieces; the record fills the holes with its own three, in
+    the order ``io`` writes their keys.  Memoized are:
 
-    * ``head``, on the solution and the instance object: the
-      authorization cost, ``choices``, the constraint cost and the
-      ``"count"`` key.  Unsolved rows of every instance share the solution
-      ``None``, so the instance is part of the key.
-    * ``mid``, on the solution and the instance index: the instance,
-      ``min_cost`` and the ``"release_order"`` key.
-    * ``order``, on the release order's content: the order, the
-      ``"slots"`` key and the opening bracket.
+    * the frame, on the solution and the instance.  Unsolved rows of
+      every instance share the solution ``None``, so the instance is
+      part of the key.
+    * the release order, on its content.
     * each slot, on its content, never whole slot vectors, whose number
       grows with the records'.
-    * ``tail``, on the solution: the type and the witness.
 
     Solutions and instances are keyed by identity, which stays stable
-    while the records being written hold them.
+    while the records being written hold them.  An id that renders like
+    the hole splits a frame into more than four pieces: ``ValueError``.
     """
     field = pad + "  "
     item = field + "  "
-
-    def entries(record: ArrangementRecord, keys: tuple[str, ...]) -> str:
-        reference = arrangement_record(record)
-        return ("," + field).join(f'"{k}": ' + _render(reference[k], field) for k in keys)
-
-    heads: dict[tuple[int, int], str] = {}
-    mids: dict[tuple[int, int], str] = {}
-    tails: dict[int, str] = {}
-    orders = Memo(lambda order: _render(order, field) + "," + field + '"slots": [')
+    hole = _render(_HOLE, pad)
+    frames: dict[tuple[int, int, int], tuple[str, str, str, str]] = {}
+    orders = Memo(lambda order: _render(order, field))
     slot = Memo(lambda s: item + _render(s, item)).__getitem__
 
     def text(record: ArrangementRecord) -> str:
-        solution, arrangement = id(record.solution), record.arrangement
-        key = solution, id(arrangement.owner)
-        head = heads.get(key)
-        if head is None:
-            head = heads[key] = (
-                "{" + field
-                + entries(record, ("authorization_cost", "choices", "constraint_cost"))
-                + "," + field + '"count": '
-            )
-        key = solution, record.instance_index
-        mid = mids.get(key)
-        if mid is None:
-            mid = mids[key] = (
-                "," + field + entries(record, ("instance", "min_cost"))
-                + "," + field + '"release_order": '
-            )
-        tail = tails.get(solution)
-        if tail is None:
-            tail = tails[solution] = (
-                field + "]," + field + entries(record, ("type", "witness")) + pad + "}"
-            )
-        return "".join(
-            (
-                head,
-                str(record.count),
-                mid,
-                orders[arrangement.release_order],
-                # An arrangement has at least one slot.
-                ",".join(map(slot, arrangement.slots)),
-                tail,
-            )
-        )
+        arrangement = record.arrangement
+        key = id(record.solution), id(arrangement.owner), record.instance_index
+        frame = frames.get(key)
+        if frame is None:
+            blank = replace(arrangement, release_order=_HOLE, slots=_HOLE)
+            holes = replace(record, count=_HOLE, arrangement=blank)
+            head, mid, between, tail = _render(arrangement_record(holes), pad).split(hole)
+            # The slots are filled in as an array; an arrangement has at least one.
+            frame = frames[key] = head, mid, between + "[", field + "]" + tail
+        head, mid, between, tail = frame
+        slots = ",".join(map(slot, arrangement.slots))
+        order = orders[arrangement.release_order]
+        return "".join((head, str(record.count), mid, order, between, slots, tail))
 
     return text
 

@@ -283,13 +283,17 @@ def min_auth_weight(partition: Partition, schema: Schema) -> tuple[int, tuple[st
 def linear_sum_assignment(cost) -> list[int]:
     """The column of each row in a minimum-sum matching of rows to distinct columns.
 
-    ``cost`` is a rows x columns matrix of integers with rows <= columns.
-    The Hungarian method with potentials: each row in turn joins the
-    matching along a shortest augmenting path in reduced costs, in
-    O(rows**2 * columns) exact integer steps.  Row and column numbers in
-    the arrays below are one-based; column 0 stands for the row being added.
+    ``cost`` is a rows x columns matrix of integers with rows <= columns;
+    more rows than columns raise ``ValueError``, since some row would find
+    no free column.  The Hungarian method with potentials: each row in
+    turn joins the matching along a shortest augmenting path in reduced
+    costs, in O(rows**2 * columns) exact integer steps.  Row and column
+    numbers in the arrays below are one-based; column 0 stands for the
+    row being added.
     """
     n, m = len(cost), len(cost[0])
+    if n > m:
+        raise ValueError(f"{n} rows cannot be matched to {m} distinct columns")
     row_pot = [0] * (n + 1)
     col_pot = [0] * (m + 1)
     row_of = [0] * (m + 1)  # row matched to each column, 0 for none

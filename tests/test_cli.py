@@ -304,6 +304,20 @@ class TestErrors:
         assert code == 2
         assert "without authorization at zero penalty" in err.getvalue()
 
+    @pytest.mark.parametrize("verb", ["check", "oracle"])
+    def test_strong_mode_rejects_a_free_unauthorized_step(self, verb, tmp_path):
+        # u3 may run s1 unauthorized at no cost: the oracle verb, which
+        # answers yes on this schema when unguarded, must refuse it as check does.
+        doc = json.loads(Path(PO).read_text())
+        doc["step_unauth_penalty"] = {"s1": 0}
+        path = tmp_path / "free_s1.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([verb, "--mode", "strong", str(path)])
+        assert code == 2
+        assert "step s1 can be executed without authorization" in err.getvalue()
+
 
 class _ClosingStdout(io.StringIO):
     """A stdout whose reader goes away after ``limit`` characters."""

@@ -6,6 +6,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+
 from wfsat.arrangements import eliminate_xor, enumerate_arrangements
 from wfsat.decisions import analyze, check_approx, check_strong_sat
 from wfsat.model import Schema, WeightedConstraint, par, release, seq, step
@@ -162,6 +164,12 @@ def test_hungarian_path_matches_enumeration():
             plain = linear_sum_assignment(cost)
             assert len(set(plain)) == blocks
             assert sum(cost[b][u] for b, u in enumerate(plain)) == best
+
+
+def test_matching_rejects_more_rows_than_columns():
+    # Two rows, one column: no matching covers every row.
+    with pytest.raises(ValueError, match="2 rows"):
+        linear_sum_assignment([[1], [2]])
 
 
 def test_min_auth_weight_large_user_pool():

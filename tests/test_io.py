@@ -86,6 +86,7 @@ MUTATIONS_SYNTAX = [
     lambda d: d.update(extra_key=1),
     lambda d: d.pop("users"),
     lambda d: d["users"].append("not an id!"),
+    lambda d: d["users"].append("u9\n"),  # trailing newline
     lambda d: d.__setitem__("workflow", {"seq": []}),
     lambda d: d.__setitem__("workflow", {"step": "s1", "release": "r"}),
     lambda d: d["constraints"][0].update(k=1),  # sod takes no k
@@ -380,6 +381,29 @@ class TestRecordText:
         for pad in ("\n", "\n    "):
             expected = [_render(reports.arrangement_record(r), pad) for r in rows]
             assert list(reports.ArrangementRecords(rows).texts(pad)) == expected
+
+    def test_follows_the_fields_of_the_reference_record(self, purchase_order, monkeypatch):
+        # Two more fields, one sorting just before "count", one after "witness".
+        plain = reports.arrangement_record
+
+        def extended(record):
+            return {**plain(record), "cost_note": [record.instance_index], "zone": "z"}
+
+        monkeypatch.setattr(reports, "arrangement_record", extended)
+        rows = decisions.analyze(purchase_order).records + unsolved_rows(purchase_order)
+        for pad in ("\n", "\n    "):
+            expected = [_render(extended(r), pad) for r in rows]
+            assert list(reports.ArrangementRecords(rows).texts(pad)) == expected
+
+    def test_an_id_that_renders_like_the_hole_raises(self):
+        # A library-built schema skips the id syntax check; its one user
+        # appears in the witness with the text that marks a hole.
+        schema = Schema(
+            workflow=step("s1"), users=(reports._HOLE,), authorizations={"s1": frozenset({reports._HOLE})}
+        )
+        rows = decisions.analyze(schema).records
+        with pytest.raises(ValueError, match="expected 4"):
+            list(reports.ArrangementRecords(rows).texts("\n"))
 
     @pytest.mark.parametrize("depth", [0, 1, 3])
     def test_written_at_the_depth_of_the_stream(self, depth, purchase_order):
