@@ -12,8 +12,9 @@ One binary, orthogonal verbs:
 Reports are canonical JSON streamed to stdout; diagnostics go to stderr.
 A reader that closes the pipe early ends the output quietly.  Exit
 codes: 0 decision yes (or success), 1 decision no, 2 usage/parse error,
-3 enumeration size limit or nesting too deep.  Timings are opt-in
-(``--timings``) so that reports stay byte-identical across runs.
+3 enumeration size limit or nesting too deep, with nothing written to
+stdout.  Timings are opt-in (``--timings``) so that reports stay
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from fractions import Fraction
 from . import decisions, oracle, reports
 from .arrangements import count_sequences, eliminate_xor, enumerate_arrangements
 from .decisions import ArrangementRecord
-from .errors import (
-    SchemaSemanticError,
-    SchemaSyntaxError,
-    SizeLimit,
-    WfsatError,
-    ZeroWeight,
-)
+from .errors import SizeLimit, WfsatError
 from .io import export_dot, iter_canonical_json, load_schema
 from .sequences import DEFAULT_SEQUENCE_CAP, iter_sequences, sequence_count
 
@@ -63,10 +58,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (_UsageError, SchemaSyntaxError, SchemaSemanticError, ZeroWeight) as exc:
-        print(f"wfsat: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, WfsatError) as exc:
+    except (_UsageError, OSError, WfsatError) as exc:
         print(f"wfsat: {exc}", file=sys.stderr)
         return 2
 
@@ -139,33 +131,22 @@ def _common(sub: argparse.ArgumentParser, jobs: bool = False, limit: bool = Fals
         )
 
 
-def _rational(text: str | None, flag: str) -> Fraction | None:
+def _rational(args, schema, name: str, required: bool) -> Fraction | None:
+    """The ``budget`` or ``probability`` flag as a rational, else the file's value."""
+    flag, text = ("--budget", args.budget) if name == "budget" else ("--prob", args.prob)
     if text is None:
-        return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError(f'{flag} must be a rational "p" or "p/q": {text!r}') from None
-
-
-def _budget_of(args, schema, required: bool) -> Fraction | None:
-    value = _rational(args.budget, "--budget")
+        value = getattr(schema, name)
+    else:
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise _UsageError(f'{flag} must be a rational "p" or "p/q": {text!r}') from None
     if value is None:
-        value = schema.budget
-    if required and value is None:
-        raise _UsageError("this mode needs --budget (or a budget in the file)")
-    if value is not None and value < 0:
+        if required:
+            raise _UsageError(f"this mode needs {flag} (or a {name} in the file)")
+    elif name == "budget" and value < 0:
         raise _UsageError("budget must be non-negative")
-    return value
-
-
-def _probability_of(args, schema, required: bool) -> Fraction | None:
-    value = _rational(args.prob, "--prob")
-    if value is None:
-        value = schema.probability
-    if required and value is None:
-        raise _UsageError("this mode needs --prob (or a probability in the file)")
-    if value is not None and not 0 <= value <= 1:
+    elif name == "probability" and not 0 <= value <= 1:
         raise _UsageError("probability must lie in [0, 1]")
     return value
 
@@ -210,12 +191,21 @@ def _emit_analysis(args, started: float, problem: str, analysis, budget=None, **
     )
 
 
-def _run_check(args, started: float) -> int:
+def _decision_inputs(args):
+    """The schema, budget and probability that ``check`` and ``oracle`` read.
+
+    Both flags are checked in every mode; only ``approx`` keeps the probability.
+    """
     schema = load_schema(args.file)
-    budget = _budget_of(args, schema, required=args.mode in ("bounded", "expected", "approx"))
-    probability = _probability_of(args, schema, required=args.mode == "approx")
+    budget = _rational(args, schema, "budget", required=args.mode != "strong")
+    probability = _rational(args, schema, "probability", required=args.mode == "approx")
     if args.mode == "strong":
         decisions.guard_zero_weights(schema)
+    return schema, budget, probability if args.mode == "approx" else None
+
+
+def _run_check(args, started: float) -> int:
+    schema, budget, probability = _decision_inputs(args)
     analysis = decisions.analyze(schema)
     if args.mode == "strong":
         answer, _ = decisions.check_strong_sat(analysis)
@@ -226,20 +216,14 @@ def _run_check(args, started: float) -> int:
     else:
         answer = decisions.check_approx(analysis, budget, probability)
     _emit_analysis(
-        args,
-        started,
-        f"check-{args.mode}",
-        analysis,
-        budget,
-        answer=answer,
-        probability=probability if args.mode == "approx" else None,
+        args, started, f"check-{args.mode}", analysis, budget, answer=answer, probability=probability
     )
     return 0 if answer else 1
 
 
 def _run_solve(args, started: float) -> int:
     schema = load_schema(args.file)
-    budget = _budget_of(args, schema, required=False)
+    budget = _rational(args, schema, "budget", required=False)
     _emit_analysis(args, started, "solve", decisions.analyze(schema), budget)
     return 0
 
@@ -290,25 +274,16 @@ def _run_enumerate(args, started: float) -> int:
 
 
 def _run_oracle(args, started: float) -> int:
-    schema = load_schema(args.file)
-    budget = _budget_of(args, schema, required=args.mode in ("bounded", "expected", "approx"))
-    probability = _probability_of(args, schema, required=args.mode == "approx")
-    if args.mode == "strong":
-        decisions.guard_zero_weights(schema)
+    schema, budget, probability = _decision_inputs(args)
     cap = args.limit if args.limit is not None else oracle.DEFAULT_ORACLE_CAP
     result = oracle.oracle_decide(schema, budget=budget, probability=probability, cap=cap)
-    answer = {
-        "strong": result.strong,
-        "bounded": result.bounded,
-        "expected": result.expected,
-        "approx": result.approx,
-    }[args.mode]
+    answer = getattr(result, args.mode)
     _emit(
         reports.build_report(
             f"oracle-{args.mode}",
             answer=answer,
             budget=budget,
-            probability=probability if args.mode == "approx" else None,
+            probability=probability,
             totals=reports.oracle_totals(result),
             aggregates=reports.oracle_aggregates(result),
             records=reports.oracle_records(result),

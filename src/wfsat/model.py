@@ -134,14 +134,6 @@ def release_ids(node: CompositionNode) -> tuple[str, ...]:
     return tuple(l.release for l in iter_leaves(node) if isinstance(l, ReleaseLeaf))
 
 
-def is_xor_free(node: CompositionNode) -> bool:
-    if isinstance(node, (StepLeaf, ReleaseLeaf)):
-        return True
-    if isinstance(node, Xor):
-        return False
-    return is_xor_free(node.left) and is_xor_free(node.right)
-
-
 def duplicate_leaf_ids(node: CompositionNode) -> tuple[str, ...]:
     """Ids appearing in more than one leaf (each id must occur exactly once)."""
     seen: set[str] = set()
@@ -219,28 +211,27 @@ def compile_poset(node: CompositionNode) -> Poset:
     u < v iff some serial composition puts u's subtree before v's; the two
     sides of a parallel composition stay incomparable.  The element list is
     the left-to-right leaf order, which is always a linear extension.
+
+    One right-to-left pass over an explicit stack: each leaf's successor
+    mask is the "after" mask its subtree carries, and a serial node's left
+    side adds the indexes its right side took.
     """
-    if not is_xor_free(node):
-        raise XorPresent("cannot compile a poset while xor nodes remain")
     order = element_order(node)
     successors = [0] * len(order)
-    cursor = 0
-
-    def visit(nd: CompositionNode) -> tuple[int, int]:
-        nonlocal cursor
+    end = len(order)  # leaves at indexes end.. are numbered
+    stack: list[tuple[CompositionNode, int, int | None]] = [(node, 0, None)]
+    while stack:
+        nd, after, right_end = stack.pop()
+        if right_end is not None:  # the left side of a Seq whose right side ends there
+            after |= (1 << right_end) - (1 << end)
         if isinstance(nd, (StepLeaf, ReleaseLeaf)):
-            lo = cursor
-            cursor += 1
-            return lo, cursor
-        l0, l1 = visit(nd.left)
-        r0, r1 = visit(nd.right)
-        if isinstance(nd, Seq):
-            right = (1 << r1) - (1 << r0)
-            for i in range(l0, l1):
-                successors[i] |= right
-        return l0, r1
-
-    visit(node)
+            end -= 1
+            successors[end] = after
+        elif isinstance(nd, Xor):
+            raise XorPresent("cannot compile a poset while xor nodes remain")
+        else:
+            stack.append((nd.left, after, end if isinstance(nd, Seq) else None))
+            stack.append((nd.right, after, None))
     return Poset(order, tuple(successors))
 
 

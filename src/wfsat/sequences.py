@@ -79,22 +79,32 @@ def iter_sequences(poset: Poset) -> Iterator[Sequence]:
 
     Depth first: each position takes, in element order, every element
     whose predecessors are all placed, so the extensions come out sorted
-    by canonical element index one at a time, never collected.
+    by canonical element index one at a time, never collected.  The prefix
+    is a stack of indexes; a popped index k resumes its position at k + 1.
     """
     elements = poset.elements
+    n = len(elements)
     preds = [
         sum(1 << i for i, later in enumerate(poset.successors) if later >> j & 1)
-        for j in range(len(elements))
+        for j in range(n)
     ]
-
-    def extend(prefix: Sequence, placed: int) -> Iterator[Sequence]:
-        if len(prefix) == len(elements):
-            yield prefix
-        for j, e in enumerate(elements):
-            if not placed >> j & 1 and preds[j] & placed == preds[j]:
-                yield from extend(prefix + (e,), placed | 1 << j)
-
-    return extend((), 0)
+    taken: list[int] = []
+    placed = j = 0  # j: the next candidate for the position after the prefix
+    while True:
+        if j == 0 and len(taken) == n:
+            yield tuple(elements[k] for k in taken)
+        while j < n and (placed >> j & 1 or preds[j] & placed != preds[j]):
+            j += 1
+        if j < n:
+            taken.append(j)
+            placed |= 1 << j
+            j = 0
+        elif taken:
+            j = taken.pop()
+            placed ^= 1 << j
+            j += 1
+        else:
+            return
 
 
 def left(sequence: Sequence, v: str) -> Sequence:

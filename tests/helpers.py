@@ -14,6 +14,7 @@ from math import comb
 
 from wfsat.arrangements import Arrangement, XorFreeInstance
 from wfsat.cli import main
+from wfsat.errors import XorPresent
 from wfsat.model import (
     CompositionNode,
     Par,
@@ -22,6 +23,7 @@ from wfsat.model import (
     Schema,
     Seq,
     StepLeaf,
+    Xor,
     element_order,
     violation_units,
 )
@@ -56,6 +58,31 @@ def linear_extensions_by_filter(poset: Poset, elements) -> set[tuple[str, ...]]:
         ):
             out.add(perm)
     return out
+
+
+def compile_poset_by_recursion(node: CompositionNode) -> Poset:
+    """The induced order, by a recursion that ORs each serial node's right
+    side into every element of its left side."""
+    order = element_order(node)
+    successors = [0] * len(order)
+    cursor = 0
+
+    def visit(nd: CompositionNode) -> tuple[int, int]:
+        nonlocal cursor
+        if isinstance(nd, (StepLeaf, ReleaseLeaf)):
+            cursor += 1
+            return cursor - 1, cursor
+        if isinstance(nd, Xor):
+            raise XorPresent("cannot compile a poset while xor nodes remain")
+        l0, l1 = visit(nd.left)
+        r0, r1 = visit(nd.right)
+        if isinstance(nd, Seq):
+            for i in range(l0, l1):
+                successors[i] |= (1 << r1) - (1 << r0)
+        return l0, r1
+
+    visit(node)
+    return Poset(order, tuple(successors))
 
 
 def release_free_plan_cost(plan: dict[str, str], schema: Schema) -> int:

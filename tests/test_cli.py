@@ -147,8 +147,7 @@ class TestEnumerate:
         ]
 
     def test_sequence_cap_exit_code(self):
-        code, _ = run_cli("enumerate", "--what", "sequences", "--limit", "2", PO)
-        assert code == 3
+        assert run_cli("enumerate", "--what", "sequences", "--limit", "2", PO) == (3, "")
 
     def test_sequence_cap_counts_every_instance(self):
         # Each instance alone fits under 5; together they hold 7 sequences.
@@ -179,8 +178,35 @@ class TestOracleVerb:
         assert report["totals"]["sequences"] == 7
 
     def test_limit_exit_code(self):
-        code, _ = run_cli("oracle", "--mode", "strong", "--limit", "3", RESTRICTED)
-        assert code == 3
+        assert run_cli("oracle", "--mode", "strong", "--limit", "3", RESTRICTED) == (3, "")
+
+
+class TestDecisionInputs:
+    """``check`` and ``oracle`` read the budget and probability alike."""
+
+    @pytest.mark.parametrize("verb", ["check", "oracle"])
+    @pytest.mark.parametrize(
+        "in_file, args, expected",
+        [
+            ({}, ("bounded",), (2, "this mode needs --budget (or a budget in the file)")),
+            ({}, ("approx", "--budget", "0"), (2, "this mode needs --prob (or a probability in the file)")),
+            ({}, ("bounded", "--budget", "-1"), (2, "budget must be non-negative")),
+            ({}, ("approx", "--budget", "0", "--prob", "2"), (2, "probability must lie in [0, 1]")),
+            ({}, ("expected", "--budget", "four"), (2, '--budget must be a rational "p" or "p/q": \'four\'')),
+            ({}, ("strong", "--prob", "1/0"), (2, '--prob must be a rational "p" or "p/q": \'1/0\'')),
+            # The file's budget 4 and probability 3/7 answer no; the flags answer yes.
+            ({"budget": "4"}, ("bounded", "--budget", "5"), (0, "")),
+            ({"budget": "0", "probability": "3/7"}, ("approx", "--prob", "2/7"), (0, "")),
+        ],
+    )
+    def test_both_verbs_agree(self, verb, in_file, args, expected, tmp_path):
+        path = tmp_path / "restricted.json"
+        path.write_text(json.dumps({**json.loads(Path(RESTRICTED).read_text()), **in_file}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([verb, "--mode", *args, str(path)])
+        code_expected, line = expected
+        assert (code, err.getvalue()) == (code_expected, f"wfsat: {line}\n" if line else "")
 
 
 class TestMinBudget:
@@ -205,12 +231,8 @@ class TestExportDot:
 class TestDeepWorkflows:
     """A long seq list folds into one nesting level per element."""
 
-    @pytest.mark.parametrize(
-        "args",
-        [("check", "--mode", "strong"), ("enumerate", "--what", "arrangements"), ("export-dot",)],
-    )
-    @pytest.mark.parametrize("leaves, expected", [(900, 0), (1200, 3)])
-    def test_nesting_depth_exit_code(self, tmp_path, args, leaves, expected):
+    @staticmethod
+    def run_chain(tmp_path, args, leaves: int) -> subprocess.CompletedProcess:
         # A child interpreter, so the stack starts as shallow as the CLI's own.
         steps = [f"s{i}" for i in range(leaves)]
         doc = {
@@ -222,13 +244,26 @@ class TestDeepWorkflows:
         }
         path = tmp_path / "deep.json"
         path.write_text(json.dumps(doc))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "wfsat.cli", *args, str(path)],
             capture_output=True,
             text=True,
             env=src_env(),
             timeout=120,
         )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "--mode", "strong"),
+            ("enumerate", "--what", "arrangements"),
+            ("export-dot",),
+            ("enumerate", "--what", "sequences"),
+        ],
+    )
+    @pytest.mark.parametrize("leaves, expected", [(900, 0), (1200, 3)])
+    def test_nesting_depth_exit_code(self, tmp_path, args, leaves, expected):
+        proc = self.run_chain(tmp_path, args, leaves)
         assert proc.returncode == expected
         if expected == 3:
             assert proc.stdout == ""
@@ -237,6 +272,16 @@ class TestDeepWorkflows:
             )
         else:
             assert proc.stderr == ""
+
+    def test_sequences_are_written_whole_just_below_the_limit(self, tmp_path):
+        # The tree walkers that run before the report still fit at 988
+        # levels; the sequence generator runs while the report is written.
+        proc = self.run_chain(tmp_path, ("enumerate", "--what", "sequences"), 988)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)
+        assert report["records"] == [
+            {"type": "sequence", "instance": 0, "elements": [f"s{i}" for i in range(988)]}
+        ]
 
 
 class TestErrors:

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
+from wfsat.arrangements import eliminate_xor
 from wfsat.errors import XorPresent
 from wfsat.model import (
     Schema,
@@ -20,7 +22,7 @@ from wfsat.model import (
 )
 from wfsat.sequences import gen_sequences
 
-from helpers import linear_extensions_by_filter
+from helpers import compile_poset_by_recursion, linear_extensions_by_filter
 from randgen import random_tree
 
 
@@ -49,6 +51,34 @@ class TestCompilePoset:
     def test_rejects_xor(self):
         with pytest.raises(XorPresent):
             compile_poset(xor(step("a"), step("b")))
+        with pytest.raises(XorPresent):
+            compile_poset(seq(step("a"), par(step("b"), xor(step("c"), step("d")))))
+
+    def test_equals_the_recursive_reference(
+        self, sweep_corpus, purchase_order, purchase_order_restricted, purchase_order_no_release
+    ):
+        schemas = [*sweep_corpus, purchase_order, purchase_order_restricted, purchase_order_no_release]
+        instances = [inst for schema in schemas for inst in eliminate_xor(schema.workflow)]
+        assert len(instances) > len(schemas)
+        for inst in instances:
+            assert compile_poset(inst.ast) == compile_poset_by_recursion(inst.ast)
+
+    def test_long_chain_does_not_recurse_per_element(self):
+        # The tree nests 1,200 levels deep; the pass gets only a little
+        # stack above the caller's.
+        names = [f"s{i}" for i in range(1200)]
+        node = seq(*map(step, names))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            poset = compile_poset(node)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert poset.elements == tuple(names)
+        assert poset.successors == tuple((1 << 1200) - (1 << i + 1) for i in range(1200))
 
     def test_element_list_is_canonical_traversal(self):
         node = upper_branch_instance()
