@@ -4,8 +4,8 @@ constrained compositional workflows with release points.
 The pipeline: eliminate xor branchings, enumerate execution arrangements
 (equivalence classes of execution sequences), and run one solve per
 decomposition grouping (arrangements that split every constraint's scope
-steps into the same groups at its release points share it) by
-set-partition patterns plus min-cost matching.  A deliberately
+steps into the same groups at its release points share it) by a
+pruned partition scan plus min-cost matching.  A deliberately
 independent brute-force oracle backs every derived value.
 """
 

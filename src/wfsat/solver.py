@@ -4,17 +4,24 @@ Constraints are decomposed at release points into release-free classical
 constraints, then a single Valued WSP is solved over the arrangement's
 steps.  Because every supported constraint is user-independent, plan cost
 depends on the plan only through its kernel partition (which steps share
-a user), so the solver enumerates set partitions in restricted-growth
-order and completes each with an exact minimum-cost injective matching of
-blocks to users: one Hungarian run on lexicographically perturbed costs,
-so the matching's tie-break is canonical too.
+a user), so the solver runs a pruned partition scan: a depth-first walk
+over restricted-growth digits that cuts every prefix whose lower bound
+reaches the best total so far.  The bound is the weight of the
+constraints whose scope is fully placed plus the least entry of each
+block's per-user penalty row; it never exceeds the cost of a completion
+because penalties are non-negative and constraint weights positive, as
+schema validation requires.  The first minimizing partition in
+restricted-growth order is never cut, so it stays the witness.  Each
+partition priced is completed with an exact minimum-cost injective
+matching of blocks to users: one Hungarian run on lexicographically
+perturbed costs, so the matching's tie-break is canonical too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from operator import getitem
+from operator import add, getitem
 
 from .arrangements import Arrangement
 from .errors import TooManyBlocks
@@ -335,30 +342,100 @@ def solve_vwsp(
 ) -> CostedPlan:
     """Globally minimum-cost plan over all assignments of ``steps`` to users.
 
-    Every plan's kernel is one of the enumerated partitions; within a
-    partition the constraint weight is constant and the matching is
-    optimal, so the scan is exact.  The witness is canonical: first
-    minimizing partition in restricted-growth order, then the matching
-    tie-break.
+    Every plan's kernel is a set partition of the steps into at most
+    ``len(schema.users)`` blocks; within a partition the constraint weight
+    is constant and the matching is optimal.  The partitions are walked
+    depth first over restricted-growth digits, steps in canonical order,
+    which visits the leaves in the order of :func:`iter_partitions`.  A
+    prefix is pruned when its lower bound reaches the best total found so
+    far.  The bound is the weight of the constraints whose scope is fully
+    placed, plus the least entry of each block's penalty row (the block's
+    cost on each user).  Placing more steps adds non-negative penalties to
+    rows, opens rows of non-negative entries and leaves placed constraints
+    as they are, and the matching pays at least each block's least entry,
+    so no completion costs less than its prefix's bound.  At a leaf the
+    bound is the constraint weight plus the row minima, so the leaf needs
+    no skip of its own.  ``stats["partitions_visited"]`` counts the leaves
+    that are priced.
+
+    The witness is canonical: the first minimizing partition in
+    restricted-growth order, then the matching tie-break.  Each prefix of
+    that partition bounds at most the minimum, which is below the best
+    total of every leaf before it, so no prefix of it is pruned, and a
+    best total is replaced only by a smaller one, as in the full scan.
+    The bound rests on non-negative penalties and positive constraint
+    weights, which :func:`~wfsat.model.validate_schema` requires.
     """
     steps = schema.sort_canonical(set(steps))
     if not steps:
         return CostedPlan({}, 0, 0)
-    if not schema.users:
+    users = schema.users
+    if not users:
         raise TooManyBlocks("no users to assign")
+    n = len(steps)
+    max_blocks = min(n, len(users))
+    penalties = [
+        [0 if schema.authorized(s, u) else schema.penalty(s) for u in users] for s in steps
+    ]
+    index = {s: i for i, s in enumerate(steps)}
+    closing: list[list[tuple[ClassicalConstraint, list[int]]]] = [[] for _ in steps]
+    for c in constraints:
+        scope = [index[s] for s in c.scope]
+        closing[max(scope, default=0)].append((c, scope))
+
     best: CostedPlan | None = None
-    for partition in iter_partitions(steps, min(len(steps), len(schema.users))):
+    limit = inf  # best.total once a leaf is priced
+    digits = [-1] * n  # block of each placed step; -1 before step i is placed
+    rows: list[list[int]] = []  # penalty row of each block of the prefix
+    replaced: list[list[int] | None] = [None] * n  # row step i's block had before it
+    bound = [0] * (n + 1)  # lower bound of the prefix of each length
+    i = 0
+    while i >= 0:
+        d = digits[i]
+        if d >= 0:  # take step i out of block d
+            if replaced[i] is None:
+                rows.pop()
+            else:
+                rows[d] = replaced[i]
+        d += 1
+        if d == min(len(rows) + 1, max_blocks):
+            digits[i] = -1
+            i -= 1
+            continue
+        digits[i] = d
+        # ``raised``: how much step i adds to the sum of the row minima.
+        if d == len(rows):
+            replaced[i] = None
+            rows.append(penalties[i])
+            raised = min(penalties[i])
+        else:
+            old = replaced[i] = rows[d]
+            row = rows[d] = list(map(add, old, penalties[i]))
+            raised = min(row) - min(old)
+        lower = bound[i] + raised + sum(
+            c.weight * violation_units(c.bound, c.k, len({digits[j] for j in scope}))
+            for c, scope in closing[i]
+        )
+        if lower >= limit:
+            continue
+        if i + 1 < n:
+            i += 1
+            bound[i] = lower
+            continue
         if stats is not None:
             stats["partitions_visited"] = stats.get("partitions_visited", 0) + 1
+        blocks: list[list[str]] = [[] for _ in rows]
+        for s, b in zip(steps, digits):
+            blocks[b].append(s)
+        partition = Partition(tuple(map(tuple, blocks)))
         cw = pattern_constraint_weight(partition, constraints)
-        if best is not None and cw >= best.total:
-            continue
         aw, block_users = min_auth_weight(partition, schema)
-        if best is None or cw + aw < best.total:
+        if cw + aw < limit:
             plan = {
                 s: u for block, u in zip(partition.blocks, block_users) for s in block
             }
             best = CostedPlan(plan, cw, aw)
+            limit = best.total
     return best
 
 

@@ -27,6 +27,12 @@ from wfsat.model import (
     element_order,
     violation_units,
 )
+from wfsat.solver import (
+    CostedPlan,
+    iter_partitions,
+    min_auth_weight,
+    pattern_constraint_weight,
+)
 
 
 def run_cli(*args: str) -> tuple[int, str]:
@@ -109,6 +115,46 @@ def exhaustive_min_plan(schema: Schema) -> int:
         cost = release_free_plan_cost(plan, schema)
         if best is None or cost < best:
             best = cost
+    return best
+
+
+def exhaustive_solve_vwsp(steps, constraints, schema: Schema, stats: dict | None = None) -> CostedPlan:
+    """:func:`wfsat.solver.solve_vwsp` by a scan of every partition.
+
+    Visits every partition of :func:`wfsat.solver.iter_partitions` and
+    keeps the first whose total is strictly below the best so far, so it
+    returns the same witness as the pruned scan, and counts every
+    partition in ``stats["partitions_visited"]``.
+    """
+    steps = schema.sort_canonical(set(steps))
+    if not steps:
+        return CostedPlan({}, 0, 0)
+    best = None
+    for partition in iter_partitions(steps, min(len(steps), len(schema.users))):
+        if stats is not None:
+            stats["partitions_visited"] = stats.get("partitions_visited", 0) + 1
+        cw = pattern_constraint_weight(partition, constraints)
+        if best is not None and cw >= best.total:
+            continue
+        aw, block_users = min_auth_weight(partition, schema)
+        if best is None or cw + aw < best.total:
+            plan = {s: u for block, u in zip(partition.blocks, block_users) for s in block}
+            best = CostedPlan(plan, cw, aw)
+    return best
+
+
+def min_plan_total(steps, constraints, schema: Schema) -> int:
+    """Least total cost of a plan of ``steps`` under classical constraints,
+    over all |U|^n plans."""
+    steps = tuple(steps)
+    best = None
+    for users in itertools.product(schema.users, repeat=len(steps)):
+        plan = dict(zip(steps, users))
+        total = sum(schema.penalty(s) for s, u in plan.items() if not schema.authorized(s, u))
+        for c in constraints:
+            total += c.weight * violation_units(c.bound, c.k, len({plan[s] for s in c.scope}))
+        if best is None or total < best:
+            best = total
     return best
 
 

@@ -19,7 +19,7 @@ from wfsat.solver import (
     min_auth_weight,
 )
 
-from helpers import bell
+from helpers import bell, exhaustive_solve_vwsp
 from randgen import corpus
 
 
@@ -112,8 +112,13 @@ def test_partition_counter_hits_bell_exactly_with_enough_users():
         default_unauth_penalty=1,
     )
     stats: dict = {}
-    solve_vwsp(schema.steps, [], schema, stats=stats)
+    expected = exhaustive_solve_vwsp(schema.steps, [], schema, stats=stats)
     assert stats["partitions_visited"] == bell(4)
+    # The first partition, all steps on u1, costs 0, which no other
+    # partition can beat, so the pruned scan prices only that one.
+    stats = {}
+    assert solve_vwsp(schema.steps, [], schema, stats=stats) == expected
+    assert stats["partitions_visited"] == 1
 
 
 def blocks_with_costs(cost):

@@ -22,6 +22,7 @@ from wfsat.oracle import oracle_min_cost_sequence, plan_cost
 from wfsat.sequences import gen_sequences
 from wfsat.solver import (
     ClassicalConstraint,
+    CostedPlan,
     Partition,
     SolveCache,
     cost_signature,
@@ -34,7 +35,14 @@ from wfsat.solver import (
     solve_vwsp,
 )
 
-from helpers import bell, exhaustive_min_plan, signature_by_slots, span_grouping
+from helpers import (
+    bell,
+    exhaustive_min_plan,
+    exhaustive_solve_vwsp,
+    min_plan_total,
+    signature_by_slots,
+    span_grouping,
+)
 from randgen import random_schema
 
 
@@ -281,6 +289,91 @@ class TestSolveVwsp:
             (arr,) = enumerate_arrangements(inst)
             got = min_cost_arrangement(arr, schema)
             assert got.total == exhaustive_min_plan(schema)
+
+
+@st.composite
+def components(draw):
+    """A schema and classical constraints over all its steps: at most 7
+    steps and 5 users, penalties from 0, at-most and at-least bounds."""
+    steps = tuple(f"s{i}" for i in range(draw(st.integers(1, 7))))
+    users = tuple(f"u{i}" for i in range(draw(st.integers(1, 5))))
+    schema = Schema(
+        workflow=par(*(step(s) for s in steps)),
+        users=users,
+        authorizations={
+            s: frozenset(draw(st.sets(st.sampled_from(users)))) for s in steps
+        },
+        default_unauth_penalty=draw(st.integers(0, 4)),
+        step_unauth_penalty=draw(
+            st.dictionaries(st.sampled_from(steps), st.integers(0, 4))
+        ),
+    )
+    constraints = []
+    for i in range(draw(st.integers(0, 5))):
+        scope = draw(st.lists(st.sampled_from(steps), min_size=1, unique=True))
+        constraints.append(
+            ClassicalConstraint(
+                bound=draw(st.sampled_from(("atmost", "atleast"))),
+                k=draw(st.integers(1, len(scope) + 1)),
+                scope=schema.sort_canonical(scope),
+                weight=draw(st.integers(1, 5)),
+                origin=(f"c{i}", 0),
+            )
+        )
+    return schema, constraints
+
+
+class TestPrunedScan:
+    """The pruned partition scan against the scan of every partition."""
+
+    @settings(max_examples=200)
+    @given(components())
+    def test_equals_the_full_scan(self, component):
+        schema, constraints = component
+        pruned, full = {}, {}
+        got = solve_vwsp(schema.steps, constraints, schema, pruned)
+        assert got == exhaustive_solve_vwsp(schema.steps, constraints, schema, full)
+        assert 1 <= pruned["partitions_visited"] <= full["partitions_visited"]
+
+    def test_equals_the_full_scan_on_every_solved_component(
+        self, heavy_components, sweep_components
+    ):
+        solved = heavy_components + sweep_components
+        assert len(heavy_components) == 43
+        assert len(solved) == 650
+        for steps, constraints, schema in solved:
+            assert solve_vwsp(steps, constraints, schema) == exhaustive_solve_vwsp(
+                steps, constraints, schema
+            )
+
+    def test_heavy_totals_are_the_least_over_all_plans(self, heavy_components):
+        for steps, constraints, schema in heavy_components:
+            assert solve_vwsp(steps, constraints, schema).total == min_plan_total(
+                steps, constraints, schema
+            )
+
+    def test_zero_optimum_ring_prices_one_leaf_per_step(self):
+        # sod on each neighbouring pair of a 10-step ring, 10 users who may
+        # run everything.  The full scan prices all 115,975 partitions; the
+        # pruned scan prices 10 leaves and ends on the first 2-colouring in
+        # restricted-growth order, matched to u1 and u2 as the full scan
+        # does.
+        steps = tuple(f"s{i}" for i in range(10))
+        users = tuple(f"u{i}" for i in range(10))
+        schema = Schema(
+            workflow=par(*(step(s) for s in steps)),
+            users=users,
+            authorizations={s: frozenset(users) for s in steps},
+            default_unauth_penalty=1,
+        )
+        ring = [
+            ClassicalConstraint("atleast", 2, (steps[i], steps[(i + 1) % 10]), 1, (f"c{i}", 0))
+            for i in range(10)
+        ]
+        stats: dict = {}
+        got = solve_vwsp(steps, ring, schema, stats)
+        assert stats["partitions_visited"] == 10
+        assert got == CostedPlan({s: users[i % 2] for i, s in enumerate(steps)}, 0, 0)
 
 
 class TestIterPartitions:
