@@ -11,10 +11,12 @@ constraints whose scope is fully placed plus the least entry of each
 block's per-user penalty row; it never exceeds the cost of a completion
 because penalties are non-negative and constraint weights positive, as
 schema validation requires.  The first minimizing partition in
-restricted-growth order is never cut, so it stays the witness.  Each
-partition priced is completed with an exact minimum-cost injective
-matching of blocks to users: one Hungarian run on lexicographically
-perturbed costs, so the matching's tie-break is canonical too.
+restricted-growth order is never cut, so it stays the witness.  A leaf
+is priced from what the scan already holds: its constraint weight is the
+scan's running constraint sum, and its blocks' penalty rows, kept for the
+bound, go to an exact minimum-cost injective matching of blocks to users:
+one Hungarian run on lexicographically perturbed costs, so the matching's
+tie-break is canonical too.
 """
 
 from __future__ import annotations
@@ -257,34 +259,27 @@ def pattern_constraint_weight(partition: Partition, constraints) -> int:
     return total
 
 
-def min_auth_weight(partition: Partition, schema: Schema) -> tuple[int, tuple[str, ...]]:
-    """Cheapest injective assignment of the blocks to distinct users.
+def min_auth_weight(rows, users) -> tuple[int, tuple[str, ...]]:
+    """Cheapest injective assignment of blocks to distinct ``users``.
 
-    Assigning a user without authorization for a step costs that step's
-    unauthorized penalty.  Ties resolve to the lexicographically smallest
-    user-index vector over the blocks.  One Hungarian run on perturbed
-    costs ``cost[b][u] * U**B + u * U**(B - 1 - b)`` (B blocks, U users)
-    finds both: the second terms sum to the user-index vector read as a
-    base-U number, which is below ``U**B``, so they only break cost ties.
+    ``rows[b][u]`` is block b's penalty row entry for ``users[u]``: the
+    summed unauthorized penalties of the block's steps that the user may
+    not run, as :func:`solve_vwsp` keeps them during its scan.  Ties
+    resolve to the lexicographically smallest user-index vector over the
+    blocks.  One Hungarian run on perturbed costs
+    ``rows[b][u] * U**B + u * U**(B - 1 - b)`` (B blocks, U users) finds
+    both: the second terms sum to the user-index vector read as a base-U
+    number, which is below ``U**B``, so they only break cost ties.
     """
-    blocks = partition.blocks
-    users = schema.users
-    if len(blocks) > len(users):
-        raise TooManyBlocks(f"{len(blocks)} blocks for {len(users)} users")
-    if not blocks:
+    if len(rows) > len(users):
+        raise TooManyBlocks(f"{len(rows)} blocks for {len(users)} users")
+    if not rows:
         return 0, ()
-    cost = [
-        [
-            sum(schema.penalty(s) for s in block if not schema.authorized(s, u))
-            for u in users
-        ]
-        for block in blocks
-    ]
-    n, m = len(blocks), len(users)
+    n, m = len(rows), len(users)
     assign = linear_sum_assignment(
-        [[c * m**n + u * m ** (n - 1 - b) for u, c in enumerate(row)] for b, row in enumerate(cost)]
+        [[c * m**n + u * m ** (n - 1 - b) for u, c in enumerate(row)] for b, row in enumerate(rows)]
     )
-    return sum(cost[b][u] for b, u in enumerate(assign)), tuple(users[u] for u in assign)
+    return sum(rows[b][u] for b, u in enumerate(assign)), tuple(users[u] for u in assign)
 
 
 def linear_sum_assignment(cost) -> list[int]:
@@ -298,7 +293,7 @@ def linear_sum_assignment(cost) -> list[int]:
     numbers in the arrays below are one-based; column 0 stands for the
     row being added.
     """
-    n, m = len(cost), len(cost[0])
+    n, m = len(cost), len(cost[0]) if cost else 0
     if n > m:
         raise ValueError(f"{n} rows cannot be matched to {m} distinct columns")
     row_pot = [0] * (n + 1)
@@ -355,8 +350,11 @@ def solve_vwsp(
     as they are, and the matching pays at least each block's least entry,
     so no completion costs less than its prefix's bound.  At a leaf the
     bound is the constraint weight plus the row minima, so the leaf needs
-    no skip of its own.  ``stats["partitions_visited"]`` counts the leaves
-    that are priced.
+    no skip of its own, and the leaf is priced from the scan's state: the
+    constraint weight is the bound less the row minima, the authorization
+    weight is :func:`min_auth_weight` on the rows, and each step takes its
+    block's user.  ``stats["partitions_visited"]`` counts the leaves that
+    are priced.
 
     The witness is canonical: the first minimizing partition in
     restricted-growth order, then the matching tie-break.  Each prefix of
@@ -424,17 +422,10 @@ def solve_vwsp(
             continue
         if stats is not None:
             stats["partitions_visited"] = stats.get("partitions_visited", 0) + 1
-        blocks: list[list[str]] = [[] for _ in rows]
-        for s, b in zip(steps, digits):
-            blocks[b].append(s)
-        partition = Partition(tuple(map(tuple, blocks)))
-        cw = pattern_constraint_weight(partition, constraints)
-        aw, block_users = min_auth_weight(partition, schema)
+        aw, block_users = min_auth_weight(rows, users)
+        cw = lower - sum(map(min, rows))
         if cw + aw < limit:
-            plan = {
-                s: u for block, u in zip(partition.blocks, block_users) for s in block
-            }
-            best = CostedPlan(plan, cw, aw)
+            best = CostedPlan({s: block_users[b] for s, b in zip(steps, digits)}, cw, aw)
             limit = best.total
     return best
 

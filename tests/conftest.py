@@ -83,6 +83,12 @@ def heavy_schema():
 
 
 @pytest.fixture(scope="session")
+def heavy_analysis(heavy_schema):
+    """``analyze`` of the heavy schema, run once per session."""
+    return analyze(heavy_schema)
+
+
+@pytest.fixture(scope="session")
 def heavy_components(heavy_schema):
     """The distinct components ``analyze`` solves for the heavy schema."""
     return solved_components([heavy_schema])

@@ -29,6 +29,7 @@ from wfsat.model import (
 )
 from wfsat.solver import (
     CostedPlan,
+    Partition,
     iter_partitions,
     min_auth_weight,
     pattern_constraint_weight,
@@ -118,6 +119,18 @@ def exhaustive_min_plan(schema: Schema) -> int:
     return best
 
 
+def block_rows(partition: Partition, schema: Schema) -> list[list[int]]:
+    """Each block's penalty row: for every user, the summed unauthorized
+    penalties of the block's steps that the user may not run."""
+    rows = []
+    for block in partition.blocks:
+        row = []
+        for u in schema.users:
+            row.append(sum(schema.penalty(s) for s in block if not schema.authorized(s, u)))
+        rows.append(row)
+    return rows
+
+
 def exhaustive_solve_vwsp(steps, constraints, schema: Schema, stats: dict | None = None) -> CostedPlan:
     """:func:`wfsat.solver.solve_vwsp` by a scan of every partition.
 
@@ -136,7 +149,7 @@ def exhaustive_solve_vwsp(steps, constraints, schema: Schema, stats: dict | None
         cw = pattern_constraint_weight(partition, constraints)
         if best is not None and cw >= best.total:
             continue
-        aw, block_users = min_auth_weight(partition, schema)
+        aw, block_users = min_auth_weight(block_rows(partition, schema), schema.users)
         if best is None or cw + aw < best.total:
             plan = {s: u for block, u in zip(partition.blocks, block_users) for s in block}
             best = CostedPlan(plan, cw, aw)

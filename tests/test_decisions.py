@@ -90,6 +90,15 @@ class TestMass:
         analysis = analyze(schema)
         assert sum(analysis.mass.values()) == sum(sequence_count(i.ast) for i in analysis.instances)
 
+    def test_heavy_class_sizes_add_up_to_sigma(self, heavy_analysis):
+        # Per instance, the class sizes of its 86,011 arrangements in all
+        # count each of its execution sequences once.
+        sizes = [0] * len(heavy_analysis.instances)
+        for record in heavy_analysis.records:
+            sizes[record.instance_index] += record.count
+        assert sizes == [sequence_count(i.ast) for i in heavy_analysis.instances]
+        assert heavy_analysis.total_sequences == sum(sizes) == 11_531_520
+
 
 class TestStrongSat:
     def test_restricted_not_strongly_satisfiable(self, purchase_order_restricted):

@@ -19,7 +19,7 @@ from wfsat.solver import (
     min_auth_weight,
 )
 
-from helpers import bell, exhaustive_solve_vwsp
+from helpers import bell, block_rows, exhaustive_solve_vwsp
 from randgen import corpus
 
 
@@ -157,7 +157,7 @@ def test_hungarian_path_matches_enumeration():
         for top in (0, 1, 7):
             cost = [[rng.randint(0, top) for _ in range(n_users)] for _ in range(blocks)]
             partition, schema = blocks_with_costs(cost)
-            got_value, got_users = min_auth_weight(partition, schema)
+            got_value, got_users = min_auth_weight(block_rows(partition, schema), schema.users)
             best = None
             best_assign = None
             for assign in itertools.permutations(range(n_users), blocks):
@@ -169,6 +169,8 @@ def test_hungarian_path_matches_enumeration():
             plain = linear_sum_assignment(cost)
             assert len(set(plain)) == blocks
             assert sum(cost[b][u] for b, u in enumerate(plain)) == best
+    # The empty matrix: no rows to match.
+    assert linear_sum_assignment([]) == []
 
 
 def test_matching_rejects_more_rows_than_columns():
@@ -188,7 +190,7 @@ def test_min_auth_weight_large_user_pool():
         authorizations=auth,
         default_unauth_penalty=5,
     )
-    cost, assigned = min_auth_weight(Partition((("a",), ("b",))), schema)
+    cost, assigned = min_auth_weight(block_rows(Partition((("a",), ("b",))), schema), schema.users)
     assert cost == 0
     assert assigned == ("u7", "u3")
 

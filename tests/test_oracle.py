@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from wfsat.arrangements import count_sequences, eliminate_xor, enumerate_arrangements
+from wfsat.arrangements import (
+    Arrangement,
+    arrangement_of,
+    count_sequences,
+    eliminate_xor,
+    enumerate_arrangements,
+)
 from wfsat.errors import SizeLimit
 from wfsat.model import Schema, par, seq, step
 from wfsat.oracle import (
@@ -114,3 +120,39 @@ class TestOracleDecide:
                     key = (arr.release_order, tuple(frozenset(s) for s in arr.slots))
                     pipeline_classes[key] = count_sequences(arr)
             assert oracle_classes == pipeline_classes
+
+
+def class_ends(arrangement: Arrangement) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The first and the last sequence of an arrangement's class.
+
+    Both join the slots by the release order.  The first runs each slot in
+    canonical order; the last runs each slot by always taking, of the
+    steps whose predecessors in the slot have run, the one latest in
+    canonical order.
+    """
+    poset = arrangement.owner.poset
+    first: list[str] = []
+    last: list[str] = []
+    for d, slot in enumerate(arrangement.slots):
+        if d:
+            first.append(arrangement.release_order[d - 1])
+            last.append(arrangement.release_order[d - 1])
+        first.extend(slot)
+        left = list(slot)
+        while left:
+            pick = next(s for s in reversed(left) if not any(poset.less(t, s) for t in left))
+            left.remove(pick)
+            last.append(pick)
+    return tuple(first), tuple(last)
+
+
+def test_oracle_prices_a_sample_of_heavy_witnesses(heavy_schema, heavy_analysis):
+    # The heavy schema has 11,531,520 sequences, far beyond the oracle's
+    # reach, so price each sampled record's witness plan on the first and
+    # the last sequence of its class instead.
+    records = random.Random(18).sample(heavy_analysis.records, 300)
+    for record in records:
+        arrangement = record.arrangement
+        for sequence in class_ends(arrangement):
+            assert arrangement_of(sequence, arrangement.owner) == arrangement
+            assert plan_cost(sequence, record.solution.plan, heavy_schema) == record.min_cost

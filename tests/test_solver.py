@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wfsat import solver
 from wfsat.arrangements import eliminate_xor, enumerate_arrangements
 from wfsat.decisions import analyze
 from wfsat.errors import TooManyBlocks
@@ -37,6 +38,7 @@ from wfsat.solver import (
 
 from helpers import (
     bell,
+    block_rows,
     exhaustive_min_plan,
     exhaustive_solve_vwsp,
     min_plan_total,
@@ -180,28 +182,29 @@ class TestMinAuthWeight:
             ("u1", "u2"), {"s": ("u1",), "t": ("u1",)}, penalty=3
         )
         # Both injective assignments leave one step unauthorized: cost 3.
-        cost, users = min_auth_weight(Partition((("s",), ("t",))), schema)
+        cost, users = min_auth_weight(block_rows(Partition((("s",), ("t",))), schema), schema.users)
         assert cost == 3
         assert users == ("u1", "u2")  # lexicographically first optimum
 
     def test_fully_authorized_is_free(self):
         schema = tiny_schema(("u1", "u2"), {})
-        cost, _ = min_auth_weight(Partition((("s",), ("t",))), schema)
+        cost, _ = min_auth_weight(block_rows(Partition((("s",), ("t",))), schema), schema.users)
         assert cost == 0
 
     def test_unauthorized_block_pays_per_step(self):
         schema = tiny_schema(("u1",), {"s": (), "t": ()}, penalty=10)
-        cost, users = min_auth_weight(Partition((("s", "t"),),), schema)
+        cost, users = min_auth_weight(block_rows(Partition((("s", "t"),),), schema), schema.users)
         assert cost == 20
         assert users == ("u1",)
 
     def test_too_many_blocks(self):
         schema = tiny_schema(("u1",), {})
         with pytest.raises(TooManyBlocks):
-            min_auth_weight(Partition((("s",), ("t",))), schema)
+            min_auth_weight(block_rows(Partition((("s",), ("t",))), schema), schema.users)
 
     def test_no_blocks_cost_nothing(self):
-        assert min_auth_weight(Partition(()), tiny_schema(("u1",), {})) == (0, ())
+        schema = tiny_schema(("u1",), {})
+        assert min_auth_weight(block_rows(Partition(()), schema), schema.users) == (0, ())
 
     def test_matches_exhaustive_assignment_search(self):
         rng = random.Random(99)
@@ -222,7 +225,8 @@ class TestMinAuthWeight:
                 authorizations=auth,
                 default_unauth_penalty=rng.randint(1, 7),
             )
-            got_cost, got_users = min_auth_weight(Partition(blocks), schema)
+            rows = block_rows(Partition(blocks), schema)
+            got_cost, got_users = min_auth_weight(rows, schema.users)
             best = None
             best_vec = None
             for assign in itertools.permutations(range(n_users), n_blocks):
@@ -352,12 +356,10 @@ class TestPrunedScan:
                 steps, constraints, schema
             )
 
-    def test_zero_optimum_ring_prices_one_leaf_per_step(self):
-        # sod on each neighbouring pair of a 10-step ring, 10 users who may
-        # run everything.  The full scan prices all 115,975 partitions; the
-        # pruned scan prices 10 leaves and ends on the first 2-colouring in
-        # restricted-growth order, matched to u1 and u2 as the full scan
-        # does.
+    def sod_ring(self):
+        """sod on each neighbouring pair of a 10-step ring, 10 users who may
+        run everything, and the full scan's witness: the first 2-colouring
+        in restricted-growth order, matched to u0 and u1."""
         steps = tuple(f"s{i}" for i in range(10))
         users = tuple(f"u{i}" for i in range(10))
         schema = Schema(
@@ -370,10 +372,35 @@ class TestPrunedScan:
             ClassicalConstraint("atleast", 2, (steps[i], steps[(i + 1) % 10]), 1, (f"c{i}", 0))
             for i in range(10)
         ]
+        return schema, ring, CostedPlan({s: users[i % 2] for i, s in enumerate(steps)}, 0, 0)
+
+    def test_zero_optimum_ring_prices_one_leaf_per_step(self):
+        # The full scan prices all 115,975 partitions; the pruned scan
+        # prices 10 leaves and ends on the full scan's witness.
+        schema, ring, witness = self.sod_ring()
         stats: dict = {}
-        got = solve_vwsp(steps, ring, schema, stats)
+        assert solve_vwsp(schema.steps, ring, schema, stats) == witness
         assert stats["partitions_visited"] == 10
-        assert got == CostedPlan({s: users[i % 2] for i, s in enumerate(steps)}, 0, 0)
+
+    def test_leaves_are_priced_from_the_scan(self, monkeypatch):
+        # The schema is read once per step and user, for the scan's penalty
+        # table, and no leaf sums its constraint weights again.
+        schema, ring, witness = self.sod_ring()
+        lookups = 0
+        authorized = Schema.authorized
+
+        def counting(self, step_id, user):
+            nonlocal lookups
+            lookups += 1
+            return authorized(self, step_id, user)
+
+        def refuse(partition, constraints):
+            raise AssertionError("a leaf summed its constraint weights again")
+
+        monkeypatch.setattr(Schema, "authorized", counting)
+        monkeypatch.setattr(solver, "pattern_constraint_weight", refuse)
+        assert solve_vwsp(schema.steps, ring, schema) == witness
+        assert lookups == len(schema.steps) * len(schema.users) == 100
 
 
 class TestIterPartitions:
