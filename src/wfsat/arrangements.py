@@ -42,17 +42,23 @@ class XorFreeInstance:
 
     ``choices`` maps the path of each xor node in the original tree
     (``$`` is the root, ``.0``/``.1`` descend left/right) to the branch
-    kept in this instance.  ``slot_counts`` memoizes
-    :func:`count_sequences` per slot, as a slot's count depends only on
-    the instance and the slot.
+    kept in this instance, and ``index`` is the instance's position in
+    :func:`eliminate_xor`'s list.  An arrangement's instance is
+    ``arrangement.owner``.  ``poset`` is compiled when first read.
+    ``slot_counts`` memoizes :func:`count_sequences` per slot, and the
+    instances of one :func:`eliminate_xor` call share it: a slot never
+    holds steps from both branches of an xor, so its steps are ordered
+    alike, and counted alike, in every instance that holds them.
     """
 
     ast: CompositionNode
-    poset: Poset
     choices: tuple[tuple[str, str], ...]
-    slot_counts: dict[tuple[str, ...], int] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    index: int
+    slot_counts: dict[tuple[str, ...], int] = field(compare=False, repr=False)
+
+    @cached_property
+    def poset(self) -> Poset:
+        return compile_poset(self.ast)
 
     @cached_property
     def steps(self) -> tuple[str, ...]:
@@ -85,7 +91,8 @@ def eliminate_xor(root: CompositionNode) -> list[XorFreeInstance]:
 
     Left choices come before right choices, depth first, so the first
     instance keeps every left branch.  Xor nodes inside discarded
-    branches never surface as choices.
+    branches never surface as choices.  The instances are numbered in
+    this order and share one ``slot_counts`` memo.
     """
 
     def expand(node: CompositionNode, path: str):
@@ -104,9 +111,10 @@ def eliminate_xor(root: CompositionNode) -> list[XorFreeInstance]:
             for ra, rch in rights
         ]
 
+    slot_counts: dict[tuple[str, ...], int] = {}
     return [
-        XorFreeInstance(ast=ast, poset=compile_poset(ast), choices=tuple(sorted(ch)))
-        for ast, ch in expand(root, "$")
+        XorFreeInstance(ast, tuple(sorted(ch)), i, slot_counts)
+        for i, (ast, ch) in enumerate(expand(root, "$"))
     ]
 
 

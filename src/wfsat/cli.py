@@ -237,18 +237,18 @@ def _run_enumerate(args, started: float) -> int:
         records = [
             {
                 "type": "instance",
-                "instance": i,
+                "instance": inst.index,
                 "choices": dict(inst.choices),
                 "steps": list(inst.steps),
                 "releases": list(inst.releases),
             }
-            for i, inst in enumerate(instances)
+            for inst in instances
         ]
     elif args.what == "arrangements":
         # Unsolved records, listed up front for their number; rendered as written.
         rows = [
-            ArrangementRecord(i, arr, count_sequences(arr))
-            for i, inst in enumerate(instances)
+            ArrangementRecord(arr, count_sequences(arr))
+            for inst in instances
             for arr in enumerate_arrangements(inst)
         ]
         records = reports.ArrangementRecords(rows)
@@ -258,8 +258,8 @@ def _run_enumerate(args, started: float) -> int:
         if total > cap:
             raise SizeLimit(f"{total} execution sequences exceed cap {cap}", total, cap)
         records = (
-            {"type": "sequence", "instance": i, "elements": list(s)}
-            for i, inst in enumerate(instances)
+            {"type": "sequence", "instance": inst.index, "elements": list(s)}
+            for inst in instances
             for s in iter_sequences(inst.poset)
         )
     _emit(

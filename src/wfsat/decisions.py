@@ -29,20 +29,16 @@ from .arrangements import (
 )
 from .errors import ZeroWeight
 from .model import Schema
-from .solver import (
-    CostedPlan,
-    SolveCache,
-    grouping_function,
-    min_cost_arrangement,
-    signature_function,
-)
+from .solver import CostedPlan, SolveCache, cost_keys, min_cost_arrangement
 
 
 @dataclass(slots=True)
 class ArrangementRecord:
-    """One arrangement with its class size and, once solved, minimum-cost plan."""
+    """One arrangement with its class size and, once solved, minimum-cost plan.
 
-    instance_index: int
+    The arrangement's instance is ``record.arrangement.owner``.
+    """
+
     arrangement: Arrangement
     count: int
     solution: CostedPlan | None = None
@@ -90,23 +86,25 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
 
     Arrangements of one instance with equal decomposition groupings share
     one minimum-cost plan (see :func:`wfsat.solver.cost_signature`), so
-    there is one solve per decomposition grouping.  Each arrangement's
-    cost signature is one ``int``, summed from parts memoized per slot
-    position and slot content, and the grouping is decoded from it once
-    per distinct signature.  The analysis is serial.  ``jobs`` is
+    there is one solve per decomposition grouping.  Each instance sets up
+    its cost keys once (:func:`wfsat.solver.cost_keys`).  Each
+    arrangement's cost signature is one ``int``, summed from parts
+    memoized per slot position and slot content, and the grouping is
+    decoded from it once per distinct signature.  A record's instance is
+    ``record.arrangement.owner``.  The analysis is serial.  ``jobs`` is
     accepted for compatibility and ignored.
     """
     instances = eliminate_xor(schema.workflow)
     cache = SolveCache()
     records = []
     mass: dict[int, int] = {}
-    for i, instance in enumerate(instances):
+    for instance in instances:
         by_signature: dict[int, CostedPlan] = {}
         by_grouping: dict[tuple[int, ...], CostedPlan] = {}
-        grouping = grouping_function(schema, instance.steps)
+        signature_for, grouping = cost_keys(schema, instance.steps)
         arrangements = enumerate_arrangements(instance)
         for order, group in itertools.groupby(arrangements, attrgetter("release_order")):
-            signature = signature_function(order, schema, instance.steps)
+            signature = signature_for(order)
             for arrangement in group:
                 key = signature(arrangement)
                 solution = by_signature.get(key)
@@ -119,7 +117,7 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
                         )
                     by_signature[key] = solution
                 count = count_sequences(arrangement)
-                records.append(ArrangementRecord(i, arrangement, count, solution))
+                records.append(ArrangementRecord(arrangement, count, solution))
                 mass[solution.total] = mass.get(solution.total, 0) + count
     return Analysis(
         schema=schema,

@@ -209,7 +209,11 @@ def parse_ccws(text: str) -> Schema:
 
 def load_schema(path) -> Schema:
     with open(path, encoding="utf-8") as fh:
-        return parse_ccws(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise SchemaSyntaxError("instance document is not UTF-8 text") from None
+    return parse_ccws(text)
 
 
 def write_ccws(schema: Schema) -> str:

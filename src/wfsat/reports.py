@@ -42,7 +42,7 @@ def arrangement_record(record: ArrangementRecord) -> dict:
     arrangement, solution = record.arrangement, record.solution
     return {
         "type": "arrangement",
-        "instance": record.instance_index,
+        "instance": arrangement.owner.index,
         "choices": dict(arrangement.owner.choices),
         "release_order": arrangement.release_order,
         "slots": arrangement.slots,
@@ -101,13 +101,13 @@ def _arrangement_text(pad: str) -> Callable[[ArrangementRecord], str]:
     field = pad + "  "
     item = field + "  "
     hole = _render(_HOLE, pad)
-    frames: dict[tuple[int, int, int], tuple[str, str, str, str]] = {}
+    frames: dict[tuple[int, int], tuple[str, str, str, str]] = {}
     orders = Memo(lambda order: _render(order, field))
     slot = Memo(lambda s: item + _render(s, item)).__getitem__
 
     def text(record: ArrangementRecord) -> str:
         arrangement = record.arrangement
-        key = id(record.solution), id(arrangement.owner), record.instance_index
+        key = id(record.solution), id(arrangement.owner)
         frame = frames.get(key)
         if frame is None:
             blank = replace(arrangement, release_order=_HOLE, slots=_HOLE)

@@ -131,8 +131,9 @@ def cost_signature(arrangement: Arrangement, schema: Schema) -> int:
     constraint order and then scope order, each in a bit field of its own.
     A segment index never exceeds the constraint's release count, so a
     field of ``max(1, len(constraint.release).bit_length())`` bits holds
-    it.  The layout depends only on the schema and the instance's steps,
-    so within one instance equal signatures mean equal entries.
+    it.  The layout depends only on the schema and the steps of the
+    arrangement's instance, ``arrangement.owner``, so within one instance
+    equal signatures mean equal entries.
 
     The signature is finer than the solve needs.  Decomposition reads of
     each constraint only which of its scope steps share a segment: a
@@ -141,78 +142,56 @@ def cost_signature(arrangement: Arrangement, schema: Schema) -> int:
     segment index survives only in the order of the classical constraints
     and in ``ClassicalConstraint.origin``; the components, the solve key
     and the summed weights read neither.  So arrangements of an instance
-    whose signatures agree after :func:`grouping_function` relabels each
-    constraint's segments by first appearance share their minimum-cost
-    plan, witness included, and ``analyze`` runs one solve per
-    decomposition grouping.
+    whose signatures agree after their grouping (see :func:`cost_keys`)
+    relabels each constraint's segments by first appearance share their
+    minimum-cost plan, witness included, and ``analyze`` runs one solve
+    per decomposition grouping.
     """
-    return signature_function(arrangement.release_order, schema, arrangement.owner.steps)(
-        arrangement
-    )
+    signature_for, _ = cost_keys(schema, arrangement.owner.steps)
+    return signature_for(arrangement.release_order)(arrangement)
 
 
-def _signature_fields(schema: Schema, steps) -> list[tuple[int, str, int, int]]:
-    """(constraint index, scope step, bit offset, width) of each entry of a
-    :func:`cost_signature` over ``steps``, in the signature's order."""
-    present = set(steps)
-    fields = []
+def cost_keys(schema: Schema, steps):
+    """``(signature_for, grouping)`` for arrangements over ``steps``.
+
+    The entries' bit fields are laid out once.  ``signature_for(order)``
+    is :func:`cost_signature` for arrangements with that release order:
+    the sum, over the slots, of a part memoized per position and slot
+    content, the segment index of each scope entry in the slot shifted to
+    its field.  ``grouping(signature)`` reads each constraint's entries
+    back and relabels them by first appearance, so it records only which
+    of the constraint's scope steps share a segment.
+    """
+    fields: dict[str, list[tuple[int, int]]] = {s: [] for s in steps}  # (constraint, offset)
+    chunks: list[tuple[list[int], int]] = []  # per constraint: (offsets, field mask)
     offset = 0
     for i, c in enumerate(schema.constraints):
         width = max(1, len(c.release).bit_length())
+        offsets = []
         for s in c.scope:
-            if s in present:
-                fields.append((i, s, offset, width))
+            if s in fields:
+                fields[s].append((i, offset))
+                offsets.append(offset)
                 offset += width
-    return fields
+        if offsets:
+            chunks.append((offsets, (1 << width) - 1))
 
-
-def signature_function(release_order: tuple[str, ...], schema: Schema, steps):
-    """:func:`cost_signature` for arrangements over ``steps`` with this release order.
-
-    A slot's entries depend only on its content and its position, so the
-    signature is the sum, over the slots, of a part memoized per position
-    and slot content: the segment index of each scope entry in the slot,
-    shifted to that entry's field.
-    """
-    segment_of_slot = [_segment_of_slot(release_order, c) for c in schema.constraints]
-    shifts: dict[str, list[tuple[list[int], int]]] = {}
-    for i, s, offset, _ in _signature_fields(schema, steps):
-        shifts.setdefault(s, []).append((segment_of_slot[i], offset))
-
-    def parts_at(d: int) -> Memo:
-        return Memo(
-            lambda slot: sum(
-                segments[d] << offset for s in slot for segments, offset in shifts.get(s, ())
-            )
-        )
-
-    parts = [parts_at(d) for d in range(len(release_order) + 1)]
-
-    def signature(arrangement: Arrangement) -> int:
-        return sum(map(getitem, parts, arrangement.slots))
-
-    return signature
-
-
-def grouping_function(schema: Schema, steps):
-    """The decomposition grouping of a :func:`cost_signature` over ``steps``.
-
-    Each constraint's entries are read back from their bit fields and
-    relabelled by first appearance, so the grouping records only which of
-    its scope steps share a segment.
-    """
-    chunks: dict[int, tuple[list[int], int]] = {}
-    for i, _, offset, width in _signature_fields(schema, steps):
-        chunks.setdefault(i, ([], (1 << width) - 1))[0].append(offset)
+    def signature_for(release_order: tuple[str, ...]):
+        segments = [_segment_of_slot(release_order, c) for c in schema.constraints]
+        parts = [
+            Memo(lambda slot, d=d: sum(segments[i][d] << o for s in slot for i, o in fields[s]))
+            for d in range(len(release_order) + 1)
+        ]
+        return lambda arrangement: sum(map(getitem, parts, arrangement.slots))
 
     def grouping(signature: int) -> tuple[int, ...]:
         out: list[int] = []
-        for offsets, mask in chunks.values():
+        for offsets, mask in chunks:
             labels: dict[int, int] = {}
             out.extend([labels.setdefault(signature >> o & mask, len(labels)) for o in offsets])
         return tuple(out)
 
-    return grouping
+    return signature_for, grouping
 
 
 def iter_partitions(items, max_blocks: int):

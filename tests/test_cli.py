@@ -121,6 +121,19 @@ class TestEnumerate:
             ["s1", "s2", "s3p", "s4", "s6"],
         ]
 
+    def test_instances_compile_no_order(self, monkeypatch):
+        # Listing instances reads their steps and releases, never their posets.
+        fixtures = (PO, RESTRICTED, FIG2)
+        expected = [run_cli("enumerate", "--what", "instances", f) for f in fixtures]
+
+        def compile_poset(node):
+            raise AssertionError("an instance's order was compiled")
+
+        monkeypatch.setattr(wfsat.arrangements, "compile_poset", compile_poset)
+        for f, (code, out) in zip(fixtures, expected):
+            assert code == 0
+            assert run_cli("enumerate", "--what", "instances", f) == (0, out)
+
     def test_sequences_purchase_order_no_release(self):
         code, report = run_json("enumerate", "--what", "sequences", FIG2)
         assert code == 0
@@ -289,9 +302,17 @@ class TestErrors:
         assert run_cli("check", "--mode", "strong", "/nonexistent.json")[0] == 2
 
     def test_invalid_document(self, tmp_path):
+        # Malformed JSON, then bytes that are not UTF-8: a usage error with
+        # a located message, never the decision "no".
         path = tmp_path / "broken.json"
-        path.write_text("{]")
-        assert run_cli("check", "--mode", "strong", str(path))[0] == 2
+        inputs = ((b"{]", "wfsat: line 1 column 2: "), (b'{"users": ["\xff"]}', "wfsat: $: "))
+        for content, located in inputs:
+            path.write_bytes(content)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["check", "--mode", "strong", str(path)])
+            assert (code, out.getvalue()) == (2, "")
+            assert err.getvalue().startswith(located)
 
     def test_missing_budget(self):
         assert run_cli("check", "--mode", "bounded", RESTRICTED)[0] == 2

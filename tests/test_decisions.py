@@ -18,9 +18,9 @@ from wfsat.decisions import (
     min_budget_expected,
 )
 from wfsat.errors import ZeroWeight
-from wfsat.model import Schema, WeightedConstraint, par, seq, step
+from wfsat.model import Schema, WeightedConstraint, par, release, seq, step, xor
 from wfsat.oracle import oracle_decide
-from wfsat.sequences import sequence_count
+from wfsat.sequences import count_linear_extensions, sequence_count
 
 from helpers import span_grouping
 from randgen import random_schema
@@ -71,7 +71,7 @@ class TestAnalyze:
         a1 = analyze(purchase_order_restricted, jobs=1)
         a8 = analyze(purchase_order_restricted, jobs=8)
         key = lambda a: [
-            (r.instance_index, r.arrangement.slots, r.count, r.min_cost, r.solution.plan)
+            (r.arrangement.owner.index, r.arrangement.slots, r.count, r.min_cost, r.solution.plan)
             for r in a.records
         ]
         assert key(a1) == key(a8)
@@ -95,9 +95,55 @@ class TestMass:
         # count each of its execution sequences once.
         sizes = [0] * len(heavy_analysis.instances)
         for record in heavy_analysis.records:
-            sizes[record.instance_index] += record.count
+            sizes[record.arrangement.owner.index] += record.count
         assert sizes == [sequence_count(i.ast) for i in heavy_analysis.instances]
         assert heavy_analysis.total_sequences == sum(sizes) == 11_531_520
+
+
+def assert_counts_without_the_memo(analysis) -> int:
+    """Each record's count is the product of its slots' linear-extension
+    counts, computed per instance without the shared ``slot_counts`` memo.
+    Returns the number of slots held by more than one instance."""
+    fresh: dict = {}
+    holders: dict = {}
+    for record in analysis.records:
+        owner = record.arrangement.owner
+        product = 1
+        for slot in record.arrangement.slots:
+            key = owner.index, slot
+            if key not in fresh:
+                fresh[key] = count_linear_extensions(owner.ast, slot)
+            product *= fresh[key]
+            holders.setdefault(slot, set()).add(owner.index)
+        assert record.count == product
+    memo = analysis.instances[0].slot_counts
+    assert all(instance.slot_counts is memo for instance in analysis.instances)
+    return sum(len(h) > 1 for h in holders.values())
+
+
+class TestSharedSlotCounts:
+    def test_heavy(self, heavy_analysis):
+        assert assert_counts_without_the_memo(heavy_analysis) > 0
+
+    def test_corpus(self, sweep_corpus):
+        shared = [assert_counts_without_the_memo(analyze(schema)) for schema in sweep_corpus]
+        assert sum(shared) > 0
+
+    def test_instances_sharing_slots(self):
+        # Both instances hold the slot (a, b, d) of three parallel steps,
+        # six orders in each, and the slot (b, d) after either release.
+        schema = Schema(
+            workflow=par(
+                seq(step("a"), xor(release("r1"), seq(release("r2"), step("c")))),
+                par(step("b"), step("d")),
+            ),
+            users=("u1", "u2"),
+            authorizations={s: frozenset({"u1"}) for s in ("a", "b", "c", "d")},
+        )
+        analysis = analyze(schema)
+        assert len(analysis.instances) == 2
+        assert assert_counts_without_the_memo(analysis) >= 2
+        assert analysis.instances[0].slot_counts[("a", "b", "d")] == 6
 
 
 class TestStrongSat:

@@ -346,8 +346,8 @@ READ_FLAGS = {
 def unsolved_rows(schema: Schema) -> list[ArrangementRecord]:
     """The rows of ``enumerate --what arrangements``: records without a solution."""
     return [
-        ArrangementRecord(i, arr, count_sequences(arr))
-        for i, inst in enumerate(eliminate_xor(schema.workflow))
+        ArrangementRecord(arr, count_sequences(arr))
+        for inst in eliminate_xor(schema.workflow)
         for arr in enumerate_arrangements(inst)
     ]
 
@@ -376,7 +376,7 @@ class TestRecordText:
         )
         assert validate_schema(schema) == []
         rows = unsolved_rows(schema)
-        slots = [{r.arrangement.slots for r in rows if r.instance_index == i} for i in (0, 1)]
+        slots = [{r.arrangement.slots for r in rows if r.arrangement.owner.index == i} for i in (0, 1)]
         assert slots[0] == slots[1]
         for pad in ("\n", "\n    "):
             expected = [_render(reports.arrangement_record(r), pad) for r in rows]
@@ -387,7 +387,7 @@ class TestRecordText:
         plain = reports.arrangement_record
 
         def extended(record):
-            return {**plain(record), "cost_note": [record.instance_index], "zone": "z"}
+            return {**plain(record), "cost_note": [record.arrangement.owner.index], "zone": "z"}
 
         monkeypatch.setattr(reports, "arrangement_record", extended)
         rows = decisions.analyze(purchase_order).records + unsolved_rows(purchase_order)

@@ -26,9 +26,9 @@ from wfsat.solver import (
     CostedPlan,
     Partition,
     SolveCache,
+    cost_keys,
     cost_signature,
     decompose_constraint,
-    grouping_function,
     iter_partitions,
     min_auth_weight,
     min_cost_arrangement,
@@ -499,7 +499,7 @@ class TestCostSignature:
         for schema in schemas:
             signatures = groupings = 0
             for inst in eliminate_xor(schema.workflow):
-                grouping = grouping_function(schema, inst.steps)
+                _, grouping = cost_keys(schema, inst.steps)
                 seen_signatures = set()
                 seen = {}
                 for arr in enumerate_arrangements(inst):
@@ -551,7 +551,7 @@ class TestCostSignature:
         # span grouping.
         for schema in schemas + wide_fields:
             for inst in eliminate_xor(schema.workflow):
-                grouping = grouping_function(schema, inst.steps)
+                _, grouping = cost_keys(schema, inst.steps)
                 tuple_of, key_of = {}, {}
                 for arr in enumerate_arrangements(inst):
                     key = cost_signature(arr, schema)
