@@ -11,14 +11,22 @@ decomposition grouping.
 
 The enumeration is an odometer loop, not a recursion, so a long chain of
 steps costs no stack.  It grows each slot one step at a time from tuples
-it has already made, so the arrangements of one enumeration share one
-tuple per distinct slot content.
+it has already made, numbering each distinct slot content once, and
+writes the arrangements of each release order into one
+:class:`ArrangementTable`: a flat array of slot ids, q per arrangement.
+The tables of one instance make up a :class:`Chain`, a sequence that
+builds each :class:`Arrangement` only when it is read.
 """
 
 from __future__ import annotations
 
+import itertools
+from array import array
+from bisect import bisect_right
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index as as_index
 
 from .errors import NotASequence
 from .model import (
@@ -74,16 +82,106 @@ class Arrangement:
     """Compact representative (S1, r1, ..., r_{q-1}, Sq) of one ~-class.
 
     ``slots`` has exactly ``len(release_order) + 1`` entries, each sorted
-    canonically; empty slots are permitted.  Within one
-    :func:`enumerate_arrangements` call, equal slots are the same tuple
-    object, shared between the arrangements.  Slots partition the owner's
-    steps, the release order linearly extends the owner's poset, and no
-    ordering constraint of the poset crosses the slot structure backwards.
+    canonically; empty slots are permitted.  The arrangements read from
+    one :func:`enumerate_arrangements` result share one tuple per
+    distinct slot content.  Slots partition the owner's steps, the
+    release order linearly extends the owner's poset, and no ordering
+    constraint of the poset crosses the slot structure backwards.
     """
 
     release_order: tuple[str, ...]
     slots: tuple[tuple[str, ...], ...]
     owner: XorFreeInstance = field(compare=False, repr=False)
+
+
+def _position(index, size: int) -> int:
+    """``index`` as a position in ``range(size)``, counting back if negative."""
+    i = as_index(index)
+    if i < 0:
+        i += size
+    if not 0 <= i < size:
+        raise IndexError("index out of range")
+    return i
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ArrangementTable(abc.Sequence):
+    """The arrangements of one instance with one release order, as columns.
+
+    ``ids`` holds q slot ids per arrangement, in canonical order, where
+    q is ``len(release_order) + 1``; id k stands for ``slots[k]``, the
+    list of distinct slot contents that the tables of one
+    :func:`enumerate_arrangements` call share.  The release order and
+    the owner are stored once.  Reading an arrangement builds it.
+    """
+
+    owner: XorFreeInstance
+    release_order: tuple[str, ...]
+    slots: list[tuple[str, ...]]
+    ids: array
+
+    def __len__(self) -> int:
+        return len(self.ids) // (len(self.release_order) + 1)
+
+    def __getitem__(self, index) -> Arrangement:
+        q = len(self.release_order) + 1
+        i = _position(index, len(self)) * q
+        row = tuple(map(self.slots.__getitem__, self.ids[i : i + q]))
+        return Arrangement(self.release_order, row, self.owner)
+
+    @classmethod
+    def of(
+        cls,
+        arrangements: list[Arrangement],
+        slots: list[tuple[str, ...]],
+        index: dict[tuple[str, ...], int],
+    ) -> ArrangementTable:
+        """The table of ``arrangements``, which share one owner and one
+        release order.  ``index`` maps each slot content in ``slots`` to
+        its position there; contents new to it are appended to both."""
+        ids = array("I")
+        for arrangement in arrangements:
+            for slot in arrangement.slots:
+                if slot not in index:
+                    index[slot] = len(slots)
+                    slots.append(slot)
+                ids.append(index[slot])
+        first = arrangements[0]
+        return cls(first.owner, first.release_order, slots, ids)
+
+    def rows(self) -> abc.Iterator[tuple[int, ...]]:
+        """Each arrangement's q slot ids, in order."""
+        return zip(*[iter(self.ids)] * (len(self.release_order) + 1))
+
+    def __iter__(self) -> abc.Iterator[Arrangement]:
+        slot, order, owner = self.slots.__getitem__, self.release_order, self.owner
+        for row in self.rows():
+            yield Arrangement(order, tuple(map(slot, row)), owner)
+
+
+class Chain(abc.Sequence):
+    """The items of ``blocks``, a list of sized sequences, as one sequence.
+
+    Iteration runs through the blocks in turn; indexing finds the block
+    by bisection over their running lengths.
+    """
+
+    __slots__ = ("blocks", "_ends")
+
+    def __init__(self, blocks: list):
+        self.blocks = blocks
+        self._ends = list(itertools.accumulate(map(len, blocks)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        i = _position(index, len(self))
+        b = bisect_right(self._ends, i)
+        return self.blocks[b][i - self._ends[b - 1] if b else i]
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.blocks)
 
 
 def eliminate_xor(root: CompositionNode) -> list[XorFreeInstance]:
@@ -118,7 +216,7 @@ def eliminate_xor(root: CompositionNode) -> list[XorFreeInstance]:
     ]
 
 
-def enumerate_arrangements(instance: XorFreeInstance) -> list[Arrangement]:
+def enumerate_arrangements(instance: XorFreeInstance) -> Chain:
     """All execution arrangements of an xor-free instance, canonically ordered.
 
     Release orders are the linear extensions of the poset restricted to the
@@ -134,11 +232,14 @@ def enumerate_arrangements(instance: XorFreeInstance) -> list[Arrangement]:
 
     The walk is an odometer over a stack of digits: it descends placing
     each step at its lowest digit, emits the slot vector, then moves the
-    last step that can still go up one slot and descends again.  Placing
-    a step appends it to its slot's tuple through a memo kept for the
-    whole call, and backtracking puts the old tuple back, so every
-    distinct slot content is built once and shared by every arrangement
-    that holds it.
+    last step that can still go up one slot and descends again.  Slots
+    are held as ids into one list of distinct slot contents.  Placing a
+    step looks the grown slot's id up in a memo kept for the whole call,
+    and backtracking puts the old id back, so every distinct slot content
+    is built and numbered once.  An emitted vector is q ids appended to
+    its release order's :class:`ArrangementTable`; the result is the
+    :class:`Chain` of those tables, one per release order, and builds
+    each :class:`Arrangement` only when it is read.
     """
     poset = instance.poset
     steps = list(instance.steps)
@@ -147,10 +248,10 @@ def enumerate_arrangements(instance: XorFreeInstance) -> list[Arrangement]:
 
     preds = [[i for i in range(j) if poset.less(steps[i], steps[j])] for j in range(n)]
 
-    out: list[Arrangement] = []
-    # extended[id(slot), j] is slot + (steps[j],).  It keeps every tuple it
-    # made alive until the call returns, so no id is reused meanwhile.
-    extended: dict[tuple[int, int], tuple[str, ...]] = {}
+    tables: list[ArrangementTable] = []
+    slots: list[tuple[str, ...]] = [()]  # id 0 is the empty slot
+    # grown[k * n + j] is the id of slots[k] + (steps[j],).
+    grown: dict[int, int] = {}
     for release_order in iter_sequences(poset.restrict(instance.releases)):
         # Feasible slot interval per step: a step sits after every release
         # point below it and before every release point above it.
@@ -164,19 +265,21 @@ def enumerate_arrangements(instance: XorFreeInstance) -> list[Arrangement]:
                     hi = min(hi, k)
             lows.append(lo)
             highs.append(hi)
-        # Step j sits in slot digits[j], which it grew from below[j].
-        slots: list[tuple[str, ...]] = [()] * q
+        ids = array("I")
+        # Step j sits in slot digits[j], whose id it grew from below[j].
+        row = [0] * q
         digits = [0] * n
-        below: list[tuple[str, ...]] = [()] * n
+        below = [0] * n
         j, d = 0, lows[0] if n else 0  # step 0 has no predecessors
         while j >= 0:
             if j < n and d <= highs[j]:
-                slot = below[j] = slots[d]
-                key = (id(slot), j)
-                grown = extended.get(key)
-                if grown is None:
-                    grown = extended[key] = slot + (steps[j],)
-                slots[d] = grown
+                slot = below[j] = row[d]
+                key = slot * n + j
+                new = grown.get(key)
+                if new is None:
+                    new = grown[key] = len(slots)
+                    slots.append(slots[slot] + (steps[j],))
+                row[d] = new
                 digits[j] = d
                 j += 1
                 if j < n:
@@ -186,16 +289,15 @@ def enumerate_arrangements(instance: XorFreeInstance) -> list[Arrangement]:
                             d = digits[i]
                 continue
             if j == n:
-                out.append(
-                    Arrangement(release_order=release_order, slots=tuple(slots), owner=instance)
-                )
+                ids.fromlist(row)
             # Take the last placed step out and move it one slot up.
             j -= 1
             if j >= 0:
                 d = digits[j]
-                slots[d] = below[j]
+                row[d] = below[j]
                 d += 1
-    return out
+        tables.append(ArrangementTable(instance, release_order, slots, ids))
+    return Chain(tables)
 
 
 def arrangement_of(sequence: Sequence, instance: XorFreeInstance) -> Arrangement:

@@ -27,8 +27,8 @@ import time
 from fractions import Fraction
 
 from . import decisions, oracle, reports
-from .arrangements import count_sequences, eliminate_xor, enumerate_arrangements
-from .decisions import ArrangementRecord
+from .arrangements import Chain, count_sequences, eliminate_xor, enumerate_arrangements
+from .decisions import RecordTable
 from .errors import SizeLimit, WfsatError
 from .io import export_dot, iter_canonical_json, load_schema
 from .sequences import DEFAULT_SEQUENCE_CAP, iter_sequences, sequence_count
@@ -245,14 +245,14 @@ def _run_enumerate(args, started: float) -> int:
             for inst in instances
         ]
     elif args.what == "arrangements":
-        # Unsolved records, listed up front for their number; rendered as written.
-        rows = [
-            ArrangementRecord(arr, count_sequences(arr))
+        # Unsolved records, counted up front for their number; rendered as written.
+        tables = [
+            RecordTable(table, [count_sequences(arr) for arr in table], [None] * len(table))
             for inst in instances
-            for arr in enumerate_arrangements(inst)
+            for table in enumerate_arrangements(inst).blocks
         ]
-        records = reports.ArrangementRecords(rows)
-        arrangements = len(rows)
+        records = reports.ArrangementRecords(Chain(tables))
+        arrangements = len(records)
     else:
         cap = args.limit if args.limit is not None else DEFAULT_SEQUENCE_CAP
         if total > cap:

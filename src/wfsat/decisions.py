@@ -15,13 +15,14 @@ completing within budget.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 from .arrangements import (
     Arrangement,
+    ArrangementTable,
+    Chain,
     XorFreeInstance,
     count_sequences,
     eliminate_xor,
@@ -36,7 +37,10 @@ from .solver import CostedPlan, SolveCache, cost_keys, min_cost_arrangement
 class ArrangementRecord:
     """One arrangement with its class size and, once solved, minimum-cost plan.
 
-    The arrangement's instance is ``record.arrangement.owner``.
+    The arrangement's instance is ``record.arrangement.owner``.  An
+    analysis keeps no records: it builds each one when it is read from
+    ``Analysis.records``.  Code that renders or tests records may build
+    them directly.
     """
 
     arrangement: Arrangement
@@ -48,17 +52,47 @@ class ArrangementRecord:
         return self.solution.total
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class RecordTable(Sequence):
+    """One :class:`ArrangementTable` with two columns parallel to it.
+
+    ``counts`` holds each arrangement's class size, a list because class
+    sizes are unbounded ints, and ``solutions`` its minimum-cost plan, or
+    ``None`` where nothing was solved.  Reading a row builds its
+    :class:`ArrangementRecord`.
+    """
+
+    arrangements: ArrangementTable
+    counts: list[int]
+    solutions: list[CostedPlan | None]
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index) -> ArrangementRecord:
+        return ArrangementRecord(
+            self.arrangements[index], self.counts[index], self.solutions[index]
+        )
+
+    def __iter__(self) -> Iterator[ArrangementRecord]:
+        return map(ArrangementRecord, self.arrangements, self.counts, self.solutions)
+
+
 @dataclass
 class Analysis:
     """Per-arrangement records for a schema, in canonical order.
 
-    ``mass`` maps each minimum cost to the number of execution sequences
-    at that cost; the aggregates below read only this table.
+    ``records`` is a sized, indexable and re-iterable view over one
+    :class:`RecordTable` per (instance, release order), the ``blocks`` of
+    a :class:`~wfsat.arrangements.Chain`; it builds each
+    :class:`ArrangementRecord` when it is read.  ``mass`` maps each
+    minimum cost to the number of execution sequences at that cost; the
+    aggregates below read only this table.
     """
 
     schema: Schema
     instances: list[XorFreeInstance]
-    records: list[ArrangementRecord]
+    records: Sequence[ArrangementRecord]
     mass: dict[int, int]
     cache_hits: int = 0
     cache_misses: int = 0
@@ -90,22 +124,26 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     its cost keys once (:func:`wfsat.solver.cost_keys`).  Each
     arrangement's cost signature is one ``int``, summed from parts
     memoized per slot position and slot content, and the grouping is
-    decoded from it once per distinct signature.  A record's instance is
-    ``record.arrangement.owner``.  The analysis is serial.  ``jobs`` is
-    accepted for compatibility and ignored.
+    decoded from it once per distinct signature.  The arrangements of
+    each release order are read from their :class:`ArrangementTable`,
+    and their class sizes and solutions are kept as two columns beside
+    it (:class:`RecordTable`); no arrangement or record is kept.  The
+    analysis is serial.  ``jobs`` is accepted for compatibility and
+    ignored.
     """
     instances = eliminate_xor(schema.workflow)
     cache = SolveCache()
-    records = []
+    tables: list[RecordTable] = []
     mass: dict[int, int] = {}
     for instance in instances:
         by_signature: dict[int, CostedPlan] = {}
         by_grouping: dict[tuple[int, ...], CostedPlan] = {}
         signature_for, grouping = cost_keys(schema, instance.steps)
-        arrangements = enumerate_arrangements(instance)
-        for order, group in itertools.groupby(arrangements, attrgetter("release_order")):
-            signature = signature_for(order)
-            for arrangement in group:
+        for arrangements in enumerate_arrangements(instance).blocks:
+            signature = signature_for(arrangements.release_order)
+            counts: list[int] = []
+            solutions: list[CostedPlan] = []
+            for arrangement in arrangements:
                 key = signature(arrangement)
                 solution = by_signature.get(key)
                 if solution is None:
@@ -117,12 +155,14 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
                         )
                     by_signature[key] = solution
                 count = count_sequences(arrangement)
-                records.append(ArrangementRecord(arrangement, count, solution))
+                counts.append(count)
+                solutions.append(solution)
                 mass[solution.total] = mass.get(solution.total, 0) + count
+            tables.append(RecordTable(arrangements, counts, solutions))
     return Analysis(
         schema=schema,
         instances=instances,
-        records=records,
+        records=Chain(tables),
         mass=mass,
         cache_hits=cache.hits,
         cache_misses=cache.misses,

@@ -4,23 +4,25 @@ Reports are plain dicts rendered through :func:`wfsat.io.iter_canonical_json`,
 so identical analyses produce identical bytes, and streamed: records
 are lazy iterables, built one record at a time as the report is
 written, so a report is never held whole in memory.  Arrangement records
-are :class:`ArrangementRecords`, sized and re-iterable, and skip the
-dict: each solution and instance has one frame, its reference record
-rendered once with the count, release order and slots left as holes,
-and each record fills those holes.  The release order and each slot are
-memoized on their content, so only the class size is written afresh per
-record.  The shape is published as a JSON Schema in
-``report-schema.json`` next to this module.
+are :class:`ArrangementRecords`, sized and re-iterable, and are written
+straight from the columns of their :class:`~wfsat.decisions.RecordTable`
+blocks, with no record or dict built: each solution and instance has one
+frame, its reference record rendered once with the count, release order
+and slots left as holes, and each row fills those holes.  Each table's
+release order is rendered once, and each slot once per slot id, so only
+the class size is written afresh per record.  The shape is published as
+a JSON Schema in ``report-schema.json`` next to this module.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
-from .decisions import Analysis, ArrangementRecord
+from .arrangements import Arrangement, ArrangementTable, Chain
+from .decisions import Analysis, ArrangementRecord, RecordTable
 from .io import Prerendered, _render
 from .model import Memo
 from .oracle import OracleReport
@@ -57,8 +59,10 @@ def arrangement_record(record: ArrangementRecord) -> dict:
 class ArrangementRecords(Prerendered):
     """:func:`arrangement_record` of each row, written from memoized text.
 
-    ``len()`` is ``len(rows)``; each iteration builds the records afresh,
-    so a record exists only while it is being written.
+    ``rows`` is an analysis's records, or any sequence of
+    :class:`ArrangementRecord`.  ``len()`` is ``len(rows)``; each
+    iteration builds the records afresh, so a record exists only while it
+    is being written.
     """
 
     def __init__(self, rows: Sequence[ArrangementRecord]):
@@ -71,56 +75,84 @@ class ArrangementRecords(Prerendered):
         return map(arrangement_record, self._rows)
 
     def texts(self, pad: str) -> Iterator[str]:
-        return map(_arrangement_text(pad), self._rows)
+        return itertools.chain.from_iterable(map(_arrangement_texts(pad), _tables(self._rows)))
+
+
+def _tables(rows: Sequence[ArrangementRecord]) -> list[RecordTable]:
+    """The record tables that hold ``rows``: an analysis's own, or else
+    one built per run of rows with the same instance and release order."""
+    if isinstance(rows, Chain):
+        return rows.blocks
+    slots: list[tuple[str, ...]] = []
+    index: dict[tuple[str, ...], int] = {}
+    tables = []
+    for _, run in itertools.groupby(
+        rows, lambda r: (id(r.arrangement.owner), r.arrangement.release_order)
+    ):
+        run = list(run)
+        arrangements = ArrangementTable.of([r.arrangement for r in run], slots, index)
+        tables.append(
+            RecordTable(arrangements, [r.count for r in run], [r.solution for r in run])
+        )
+    return tables
 
 
 # Stands in for a record's count, release order and slots in its frame.
 _HOLE = "\0"
 
 
-def _arrangement_text(pad: str) -> Callable[[ArrangementRecord], str]:
-    """A renderer of arrangement records nested at ``pad``, with its memos.
+def _arrangement_texts(pad: str) -> Callable[[RecordTable], Iterator[str]]:
+    """A renderer of record tables nested at ``pad``, with its memos.
 
-    Its text equals ``_render(arrangement_record(record), pad)``.  A
-    record's frame is that reference text for the same row with its
-    count, release order and slots set to ``_HOLE``, split at the hole
-    into four pieces; the record fills the holes with its own three, in
-    the order ``io`` writes their keys.  Memoized are:
+    Each text it yields equals ``_render(arrangement_record(record),
+    pad)`` for the table's record in that row.  A row's frame is that
+    reference text for a record with the row's instance and solution and
+    with its count, release order and slots set to ``_HOLE``, split at
+    the hole into four pieces; the row fills the holes with its own
+    three, in the order ``io`` writes their keys.  Memoized are:
 
     * the frame, on the solution and the instance.  Unsolved rows of
       every instance share the solution ``None``, so the instance is
       part of the key.
     * the release order, on its content.
-    * each slot, on its content, never whole slot vectors, whose number
-      grows with the records'.
+    * each slot, on its slot id in its table's list of slots, never
+      whole slot vectors, whose number grows with the records'.
 
-    Solutions and instances are keyed by identity, which stays stable
-    while the records being written hold them.  An id that renders like
-    the hole splits a frame into more than four pieces: ``ValueError``.
+    Solutions, instances and slot lists are keyed by identity, which
+    stays stable while the tables being written hold them.  An id that
+    renders like the hole splits a frame into more than four pieces:
+    ``ValueError``.
     """
     field = pad + "  "
     item = field + "  "
     hole = _render(_HOLE, pad)
     frames: dict[tuple[int, int], tuple[str, str, str, str]] = {}
     orders = Memo(lambda order: _render(order, field))
-    slot = Memo(lambda s: item + _render(s, item)).__getitem__
+    slot_texts: dict[int, Memo] = {}
 
-    def text(record: ArrangementRecord) -> str:
-        arrangement = record.arrangement
-        key = id(record.solution), id(arrangement.owner)
-        frame = frames.get(key)
-        if frame is None:
-            blank = replace(arrangement, release_order=_HOLE, slots=_HOLE)
-            holes = replace(record, count=_HOLE, arrangement=blank)
-            head, mid, between, tail = _render(arrangement_record(holes), pad).split(hole)
-            # The slots are filled in as an array; an arrangement has at least one.
-            frame = frames[key] = head, mid, between + "[", field + "]" + tail
-        head, mid, between, tail = frame
-        slots = ",".join(map(slot, arrangement.slots))
-        order = orders[arrangement.release_order]
-        return "".join((head, str(record.count), mid, order, between, slots, tail))
+    def frame(owner, solution) -> tuple[str, str, str, str]:
+        holes = ArrangementRecord(Arrangement(_HOLE, _HOLE, owner), _HOLE, solution)
+        head, mid, between, tail = _render(arrangement_record(holes), pad).split(hole)
+        # The slots are filled in as an array; an arrangement has at least one.
+        return head, mid, between + "[", field + "]" + tail
 
-    return text
+    def texts(table: RecordTable) -> Iterator[str]:
+        arrangements = table.arrangements
+        owner, slots = arrangements.owner, arrangements.slots
+        by_id = slot_texts.get(id(slots))
+        if by_id is None:
+            by_id = slot_texts[id(slots)] = Memo(lambda k: item + _render(slots[k], item))
+        slot = by_id.__getitem__
+        order = orders[arrangements.release_order]
+        for count, solution, row in zip(table.counts, table.solutions, arrangements.rows()):
+            key = id(solution), id(owner)
+            pieces = frames.get(key)
+            if pieces is None:
+                pieces = frames[key] = frame(owner, solution)
+            head, mid, between, tail = pieces
+            yield "".join((head, str(count), mid, order, between, ",".join(map(slot, row)), tail))
+
+    return texts
 
 
 def arrangement_records(analysis: Analysis) -> ArrangementRecords:

@@ -127,7 +127,7 @@ class TestEnumerateArrangements:
         schemas += [random_schema(seed, max_steps=10, max_releases=3, max_effort=None) for seed in (2, 4)]
         for schema in schemas:
             for inst in eliminate_xor(schema.workflow):
-                assert enumerate_arrangements(inst) == arrangements_by_filter(inst)
+                assert list(enumerate_arrangements(inst)) == arrangements_by_filter(inst)
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from wfsat import decisions
-from wfsat.arrangements import eliminate_xor, enumerate_arrangements
+from wfsat.arrangements import count_sequences, eliminate_xor, enumerate_arrangements
 from wfsat.decisions import (
     analyze,
     check_approx,
@@ -21,8 +22,9 @@ from wfsat.errors import ZeroWeight
 from wfsat.model import Schema, WeightedConstraint, par, release, seq, step, xor
 from wfsat.oracle import oracle_decide
 from wfsat.sequences import count_linear_extensions, sequence_count
+from wfsat.solver import min_cost_arrangement
 
-from helpers import span_grouping
+from helpers import arrangements_by_filter, span_grouping
 from randgen import random_schema
 from test_acceptance import synthetic_schema
 
@@ -144,6 +146,71 @@ class TestSharedSlotCounts:
         assert len(analysis.instances) == 2
         assert assert_counts_without_the_memo(analysis) >= 2
         assert analysis.instances[0].slot_counts[("a", "b", "d")] == 6
+
+
+def assert_sequence_contract(view, seed: int) -> list:
+    """``view`` reads like the list of what iterating it yields; returns that list."""
+    items = list(view)
+    assert len(view) == len(items) > 0
+    assert list(view) == items  # re-iterable
+    rng = random.Random(seed)
+    for i in {0, len(items) - 1, *rng.sample(range(len(items)), min(len(items), 20))}:
+        assert view[i] == items[i]
+        assert view[i - len(items)] == items[i]
+    for i in (len(items), -len(items) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    k = min(len(items), 30)
+    assert random.Random(seed).sample(view, k) == random.Random(seed).sample(items, k)
+    return items
+
+
+class TestRecordColumns:
+    """Records read from an analysis's columns equal the reference pipeline."""
+
+    def assert_matches_reference(self, schema):
+        analysis = analyze(schema)
+        records = assert_sequence_contract(analysis.records, seed=len(analysis.records))
+        expected = [
+            (inst, arr) for inst in analysis.instances for arr in arrangements_by_filter(inst)
+        ]
+        assert [r.arrangement for r in records] == [arr for _, arr in expected]
+        for record, (inst, _) in zip(records, expected):
+            assert record.arrangement.owner is inst
+            assert record.count == count_sequences(record.arrangement)
+            assert record.min_cost == min_cost_arrangement(record.arrangement, schema).total
+
+    def test_corpus(self, sweep_corpus):
+        for schema in sweep_corpus:
+            self.assert_matches_reference(schema)
+
+    def test_fixtures(self, purchase_order, purchase_order_restricted, purchase_order_no_release):
+        for schema in (purchase_order, purchase_order_restricted, purchase_order_no_release):
+            self.assert_matches_reference(schema)
+
+    def test_heavy(self, heavy_schema, heavy_analysis):
+        records = assert_sequence_contract(heavy_analysis.records, seed=7)
+        assert len(records) == 86_011
+        assert all(r.count == count_sequences(r.arrangement) for r in records)
+        for record in random.Random(21).sample(records, 40):
+            assert record.min_cost == min_cost_arrangement(record.arrangement, heavy_schema).total
+
+    def test_enumerated_arrangements_are_a_sequence(self, heavy_analysis, purchase_order):
+        for inst in heavy_analysis.instances + eliminate_xor(purchase_order.workflow):
+            assert_sequence_contract(enumerate_arrangements(inst), seed=inst.index)
+
+    def test_heavy_analysis_holds_little_memory(self, heavy_schema):
+        # Three columns per release order, about 40 bytes per arrangement:
+        # 86,011 arrangements with one Arrangement and one record object
+        # each held 16 MB.
+        tracemalloc.start()
+        try:
+            analysis = analyze(heavy_schema)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(analysis.records) == 86_011
+        assert held < 6_000_000
 
 
 class TestStrongSat:

@@ -390,7 +390,7 @@ class TestRecordText:
             return {**plain(record), "cost_note": [record.arrangement.owner.index], "zone": "z"}
 
         monkeypatch.setattr(reports, "arrangement_record", extended)
-        rows = decisions.analyze(purchase_order).records + unsolved_rows(purchase_order)
+        rows = list(decisions.analyze(purchase_order).records) + unsolved_rows(purchase_order)
         for pad in ("\n", "\n    "):
             expected = [_render(extended(r), pad) for r in rows]
             assert list(reports.ArrangementRecords(rows).texts(pad)) == expected
