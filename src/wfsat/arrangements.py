@@ -26,11 +26,12 @@ from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import index as as_index
+from operator import index as as_index, mul
 
 from .errors import NotASequence
 from .model import (
     CompositionNode,
+    Memo,
     Par,
     Poset,
     ReleaseLeaf,
@@ -53,7 +54,8 @@ class XorFreeInstance:
     kept in this instance, and ``index`` is the instance's position in
     :func:`eliminate_xor`'s list.  An arrangement's instance is
     ``arrangement.owner``.  ``poset`` is compiled when first read.
-    ``slot_counts`` memoizes :func:`count_sequences` per slot, and the
+    ``slot_counts`` memoizes the linear-extension count of each slot
+    content for :func:`count_sequences` and :func:`class_sizes`, and the
     instances of one :func:`eliminate_xor` call share it: a slot never
     holds steps from both branches of an xor, so its steps are ordered
     alike, and counted alike, in every instance that holds them.
@@ -326,6 +328,15 @@ def arrangement_of(sequence: Sequence, instance: XorFreeInstance) -> Arrangement
     )
 
 
+def _slot_count(owner: XorFreeInstance, slot: tuple[str, ...]) -> int:
+    """The linear extensions of ``slot``'s steps (at least 1), memoized in
+    ``owner.slot_counts``."""
+    count = owner.slot_counts.get(slot)
+    if count is None:
+        count = owner.slot_counts[slot] = count_linear_extensions(owner.ast, slot)
+    return count
+
+
 def count_sequences(arrangement: Arrangement) -> int:
     """Number of execution sequences in the arrangement's class.
 
@@ -336,8 +347,19 @@ def count_sequences(arrangement: Arrangement) -> int:
     owner = arrangement.owner
     total = 1
     for slot in arrangement.slots:
-        count = owner.slot_counts.get(slot)
-        if count is None:
-            count = owner.slot_counts[slot] = count_linear_extensions(owner.ast, slot)
-        total *= count
+        total *= owner.slot_counts.get(slot) or _slot_count(owner, slot)
     return total
+
+
+def class_sizes(table: ArrangementTable) -> list[int]:
+    """:func:`count_sequences` of every row of ``table``, column by column.
+
+    Each slot id's count is read once through ``owner.slot_counts``, and
+    the q columns of counts are multiplied together.
+    """
+    owner, slots, q = table.owner, table.slots, len(table.release_order) + 1
+    count = Memo(lambda k: _slot_count(owner, slots[k]))
+    out = itertools.repeat(1, len(table))
+    for d in range(q):
+        out = map(mul, out, map(count.__getitem__, table.ids[d::q]))
+    return list(out)

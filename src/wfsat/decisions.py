@@ -1,16 +1,17 @@
 """Top-level decision procedures under the uniform sequence distribution.
 
 Every procedure runs the same pipeline once: eliminate xor branchings,
-enumerate the execution arrangements of each xor-free instance, count the
-sequences in each arrangement's class, and run one solve per
-decomposition grouping (arrangements of an instance that split every
-constraint's scope steps alike at its release points share their
-minimum-cost plan).  The pipeline fills one table, ``Analysis.mass``: the
-number of execution sequences at each minimum cost.  Every decision reads
-that table: strong satisfiability (no sequence above cost zero), bounded
-cost (max cost within budget), bounded expected cost (sequence-weighted
-mean within budget, in exact rational arithmetic) and the probability of
-completing within budget.
+enumerate the execution arrangements of each xor-free instance, give
+each arrangement a cost signature and its class size (the number of
+sequences in its class), read column by column from per-slot parts, and
+run one solve per decomposition grouping (arrangements of an instance
+that split every constraint's scope steps alike at its release points
+share their minimum-cost plan).  The pipeline fills one table,
+``Analysis.mass``: the number of execution sequences at each minimum
+cost.  Every decision reads that table: strong satisfiability (no
+sequence above cost zero), bounded cost (max cost within budget),
+bounded expected cost (sequence-weighted mean within budget, in exact
+rational arithmetic) and the probability of completing within budget.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .arrangements import (
     ArrangementTable,
     Chain,
     XorFreeInstance,
-    count_sequences,
+    class_sizes,
     eliminate_xor,
     enumerate_arrangements,
 )
@@ -121,15 +122,17 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     Arrangements of one instance with equal decomposition groupings share
     one minimum-cost plan (see :func:`wfsat.solver.cost_signature`), so
     there is one solve per decomposition grouping.  Each instance sets up
-    its cost keys once (:func:`wfsat.solver.cost_keys`).  Each
-    arrangement's cost signature is one ``int``, summed from parts
-    memoized per slot position and slot content, and the grouping is
-    decoded from it once per distinct signature.  The arrangements of
-    each release order are read from their :class:`ArrangementTable`,
-    and their class sizes and solutions are kept as two columns beside
-    it (:class:`RecordTable`); no arrangement or record is kept.  The
-    analysis is serial.  ``jobs`` is accepted for compatibility and
-    ignored.
+    its cost keys once (:func:`wfsat.solver.cost_keys`).  Each release
+    order's :class:`ArrangementTable` is read column by column: a cost
+    signature per row, summed from parts memoized per slot position and
+    slot id, and a class size per row, from counts memoized per slot id
+    (:func:`~wfsat.arrangements.class_sizes`).  The grouping is decoded
+    once per distinct signature; only the first row of each new grouping
+    is built and solved.  ``mass`` adds the class sizes summed per
+    signature.  The class sizes and solutions are kept as two columns
+    beside the table (:class:`RecordTable`); no arrangement or record is
+    kept.  The analysis is serial.  ``jobs`` is accepted for
+    compatibility and ignored.
     """
     instances = eliminate_xor(schema.workflow)
     cache = SolveCache()
@@ -138,26 +141,28 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     for instance in instances:
         by_signature: dict[int, CostedPlan] = {}
         by_grouping: dict[tuple[int, ...], CostedPlan] = {}
-        signature_for, grouping = cost_keys(schema, instance.steps)
+        signatures, grouping = cost_keys(schema, instance.steps)
         for arrangements in enumerate_arrangements(instance).blocks:
-            signature = signature_for(arrangements.release_order)
-            counts: list[int] = []
-            solutions: list[CostedPlan] = []
-            for arrangement in arrangements:
-                key = signature(arrangement)
+            keys = signatures(arrangements)
+            counts = class_sizes(arrangements)
+            # Class sizes summed per signature.  The sums keep the signatures'
+            # order of first appearance, so each new grouping solves its first row.
+            sums = dict.fromkeys(keys, 0)
+            for key, count in zip(keys, counts):
+                sums[key] += count
+            for key, count in sums.items():
                 solution = by_signature.get(key)
                 if solution is None:
                     grouped = grouping(key)
                     solution = by_grouping.get(grouped)
                     if solution is None:
                         solution = by_grouping[grouped] = min_cost_arrangement(
-                            arrangement, schema, cache
+                            arrangements[keys.index(key)], schema, cache
                         )
                     by_signature[key] = solution
-                count = count_sequences(arrangement)
-                counts.append(count)
-                solutions.append(solution)
-                mass[solution.total] = mass.get(solution.total, 0) + count
+                total = solution.total
+                mass[total] = mass.get(total, 0) + count
+            solutions = list(map(by_signature.__getitem__, keys))
             tables.append(RecordTable(arrangements, counts, solutions))
     return Analysis(
         schema=schema,

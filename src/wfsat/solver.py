@@ -22,10 +22,11 @@ tie-break is canonical too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import inf
-from operator import add, getitem
+from operator import add
 
-from .arrangements import Arrangement
+from .arrangements import Arrangement, ArrangementTable
 from .errors import TooManyBlocks
 from .model import (
     Memo,
@@ -145,22 +146,26 @@ def cost_signature(arrangement: Arrangement, schema: Schema) -> int:
     whose signatures agree after their grouping (see :func:`cost_keys`)
     relabels each constraint's segments by first appearance share their
     minimum-cost plan, witness included, and ``analyze`` runs one solve
-    per decomposition grouping.
+    per decomposition grouping.  It is the one row of ``signatures`` (see
+    :func:`cost_keys`) on a table of the arrangement alone.
     """
-    signature_for, _ = cost_keys(schema, arrangement.owner.steps)
-    return signature_for(arrangement.release_order)(arrangement)
+    signatures, _ = cost_keys(schema, arrangement.owner.steps)
+    return signatures(ArrangementTable.of([arrangement], [], {}))[0]
 
 
 def cost_keys(schema: Schema, steps):
-    """``(signature_for, grouping)`` for arrangements over ``steps``.
+    """``(signatures, grouping)`` for arrangements over ``steps``.
 
-    The entries' bit fields are laid out once.  ``signature_for(order)``
-    is :func:`cost_signature` for arrangements with that release order:
-    the sum, over the slots, of a part memoized per position and slot
-    content, the segment index of each scope entry in the slot shifted to
-    its field.  ``grouping(signature)`` reads each constraint's entries
-    back and relabels them by first appearance, so it records only which
-    of the constraint's scope steps share a segment.
+    The entries' bit fields are laid out once.  ``signatures(table)`` is
+    the list of :func:`cost_signature` of the rows of an
+    :class:`~wfsat.arrangements.ArrangementTable`, worked out column by
+    column: for each slot position, a part memoized per slot id (the
+    segment index of each scope entry in the slot, shifted to its field)
+    is read for the position's column of ids and added to the running
+    sums, and equal signatures of a table share one ``int``.
+    ``grouping(signature)`` reads each constraint's entries back and
+    relabels them by first appearance, so it records only which of the
+    constraint's scope steps share a segment.
     """
     fields: dict[str, list[tuple[int, int]]] = {s: [] for s in steps}  # (constraint, offset)
     chunks: list[tuple[list[int], int]] = []  # per constraint: (offsets, field mask)
@@ -176,13 +181,18 @@ def cost_keys(schema: Schema, steps):
         if offsets:
             chunks.append((offsets, (1 << width) - 1))
 
-    def signature_for(release_order: tuple[str, ...]):
-        segments = [_segment_of_slot(release_order, c) for c in schema.constraints]
-        parts = [
-            Memo(lambda slot, d=d: sum(segments[i][d] << o for s in slot for i, o in fields[s]))
-            for d in range(len(release_order) + 1)
-        ]
-        return lambda arrangement: sum(map(getitem, parts, arrangement.slots))
+    def signatures(table: ArrangementTable) -> list[int]:
+        segments = [_segment_of_slot(table.release_order, c) for c in schema.constraints]
+        slots, q = table.slots, len(table.release_order) + 1
+        out = repeat(0, len(table))
+        for d in range(q):
+            part = Memo(  # d=d: the maps run after the loop
+                lambda k, d=d: sum(segments[i][d] << o for s in slots[k] for i, o in fields[s])
+            )
+            out = map(add, out, map(part.__getitem__, table.ids[d::q]))
+        # Rows share one int per distinct signature; a table has few of them.
+        out = list(out)
+        return list(map({}.setdefault, out, out))
 
     def grouping(signature: int) -> tuple[int, ...]:
         out: list[int] = []
@@ -191,7 +201,7 @@ def cost_keys(schema: Schema, steps):
             out.extend([labels.setdefault(signature >> o & mask, len(labels)) for o in offsets])
         return tuple(out)
 
-    return signature_for, grouping
+    return signatures, grouping
 
 
 def iter_partitions(items, max_blocks: int):

@@ -7,8 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from wfsat import decisions
-from wfsat.arrangements import count_sequences, eliminate_xor, enumerate_arrangements
+from wfsat import arrangements, decisions
+from wfsat.arrangements import (
+    class_sizes,
+    count_sequences,
+    eliminate_xor,
+    enumerate_arrangements,
+)
 from wfsat.decisions import (
     analyze,
     check_approx,
@@ -22,7 +27,7 @@ from wfsat.errors import ZeroWeight
 from wfsat.model import Schema, WeightedConstraint, par, release, seq, step, xor
 from wfsat.oracle import oracle_decide
 from wfsat.sequences import count_linear_extensions, sequence_count
-from wfsat.solver import min_cost_arrangement
+from wfsat.solver import cost_keys, min_cost_arrangement
 
 from helpers import arrangements_by_filter, span_grouping
 from randgen import random_schema
@@ -211,6 +216,66 @@ class TestRecordColumns:
             tracemalloc.stop()
         assert len(analysis.records) == 86_011
         assert held < 6_000_000
+
+
+class TestTableColumns:
+    """``analyze`` prices and counts each arrangement table column by
+    column; every row agrees with the per-arrangement reference."""
+
+    @staticmethod
+    def assert_rows_match(schema) -> int:
+        rows = 0
+        for inst in eliminate_xor(schema.workflow):
+            signatures, grouping = cost_keys(schema, inst.steps)
+            for table in enumerate_arrangements(inst).blocks:
+                keys, sizes = signatures(table), class_sizes(table)
+                assert len(keys) == len(sizes) == len(table)
+                for key, size, arrangement in zip(keys, sizes, table):
+                    assert grouping(key) == span_grouping(arrangement, schema)
+                    assert size == count_sequences(arrangement)
+                rows += len(table)
+        return rows
+
+    @staticmethod
+    def counted_slots(monkeypatch, schema) -> tuple[Counter, set]:
+        """The slot contents ``analyze`` counts linear extensions of, with
+        their multiplicity, and the distinct slots of its records."""
+        counted = Counter()
+        count = arrangements.count_linear_extensions
+
+        def recording(ast, slot):
+            counted[slot] += 1
+            return count(ast, slot)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(arrangements, "count_linear_extensions", recording)
+            analysis = analyze(schema)
+        return counted, {slot for r in analysis.records for slot in r.arrangement.slots}
+
+    def test_corpus(self, sweep_corpus):
+        assert sum(map(self.assert_rows_match, sweep_corpus)) > 0
+
+    def test_fixtures(self, purchase_order, purchase_order_restricted, purchase_order_no_release):
+        for schema in (purchase_order, purchase_order_restricted, purchase_order_no_release):
+            assert self.assert_rows_match(schema) > 0
+
+    def test_heavy(self, heavy_schema):
+        assert self.assert_rows_match(heavy_schema) == 86_011
+
+    def test_each_slot_counted_once(
+        self, monkeypatch, sweep_corpus, purchase_order, purchase_order_restricted,
+        purchase_order_no_release,
+    ):
+        fixtures = [purchase_order, purchase_order_restricted, purchase_order_no_release]
+        for schema in sweep_corpus + fixtures:
+            counted, held = self.counted_slots(monkeypatch, schema)
+            assert set(counted) == held
+            assert max(counted.values()) == 1
+
+    def test_heavy_slots_counted_once(self, monkeypatch, heavy_schema):
+        counted, held = self.counted_slots(monkeypatch, heavy_schema)
+        assert set(counted) == held
+        assert sum(counted.values()) == len(held) == 1_024
 
 
 class TestStrongSat:
