@@ -151,13 +151,9 @@ class ArrangementTable(abc.Sequence):
         first = arrangements[0]
         return cls(first.owner, first.release_order, slots, ids)
 
-    def rows(self) -> abc.Iterator[tuple[int, ...]]:
-        """Each arrangement's q slot ids, in order."""
-        return zip(*[iter(self.ids)] * (len(self.release_order) + 1))
-
     def __iter__(self) -> abc.Iterator[Arrangement]:
         slot, order, owner = self.slots.__getitem__, self.release_order, self.owner
-        for row in self.rows():
+        for row in zip(*[iter(self.ids)] * (len(order) + 1)):
             yield Arrangement(order, tuple(map(slot, row)), owner)
 
 

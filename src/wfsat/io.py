@@ -8,11 +8,13 @@ One parse/write pass canonicalizes any valid file byte-stably.
 
 The same canonical JSON form (two-space indent, sorted keys, ASCII
 escapes) renders reports.  :func:`iter_canonical_json` streams it as
-text pieces, at most about one per array element, so a report whose
-records are drawn lazily is written without ever being held whole.  An
-array that subclasses :class:`Prerendered` hands over its elements
-already rendered, at the indent the stream asks for; :func:`_render`
-remains the reference renderer that such text must equal.
+text pieces, at most about one per block of ``_BLOCK`` array elements,
+so a report whose records are drawn lazily is written without ever
+being held whole, and the writer is called once per block rather than
+once per record.  An array that subclasses :class:`Prerendered` hands
+over its elements already rendered, one text each, at the indent the
+stream asks for; :func:`_render` remains the reference renderer that
+such text must equal.
 
 :func:`export_dot` draws the workflow DAG.  It builds the drawn graph
 in one pass over the tree, with fork/join vertices only where a
@@ -25,7 +27,7 @@ import json
 import re
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import SchemaSemanticError, SchemaSyntaxError
@@ -47,6 +49,13 @@ from .model import (
     validate_schema,
     xor,
 )
+
+# Array elements joined into one piece.  The writer and the generators
+# above it then run once per block rather than once per element.  A block
+# of report records is some tens of kilobytes, and up to three blocks are
+# alive at once: the one the writer holds, the next one's texts and
+# their join.
+_BLOCK = 32
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -88,13 +97,14 @@ def iter_canonical_json(payload):
 
     The pieces join to ``json.dumps(payload, indent=2, sort_keys=True)``
     plus a newline, byte for byte.  Objects are streamed key by key and
-    arrays element by element, each element rendered whole, so records
-    drawn from an iterator are built and written one at a time.  The
-    elements of a :class:`Prerendered` array come already rendered, from
-    its ``texts`` at the element indent.  Any non-dict iterable renders
-    as an array, and a ``str`` of any type renders as a JSON string; a
-    non-``str`` key raises ``TypeError`` (``encode_basestring_ascii``
-    accepts nothing else).
+    arrays in blocks of ``_BLOCK`` elements, each element rendered whole
+    and each block joined into one piece, so records drawn from an
+    iterator are built and written a block at a time.  The elements of a
+    :class:`Prerendered` array come already rendered, from its ``texts``
+    at the element indent.  Any non-dict iterable renders as an array,
+    and a ``str`` of any type renders as a JSON string; a non-``str``
+    key raises ``TypeError`` (``encode_basestring_ascii`` accepts
+    nothing else).
     """
     yield from _stream(payload, "\n")
     yield "\n"
@@ -117,11 +127,12 @@ def _stream(value, pad: str):
             texts = value.texts(inner)
         else:
             texts = map(_render, _items(value), repeat(inner))
-        sep = "[" + inner
-        for text in texts:
-            yield sep + text
-            sep = "," + inner
-        yield "[]" if sep[0] == "[" else pad + "]"
+        sep, start = "," + inner, "[" + inner
+        while block := list(islice(texts, _BLOCK)):
+            block[0] = start + block[0]
+            yield sep.join(block)
+            start = sep
+        yield "[]" if start[0] == "[" else pad + "]"
 
 
 def _render(value, pad: str) -> str:

@@ -2,16 +2,18 @@
 
 Reports are plain dicts rendered through :func:`wfsat.io.iter_canonical_json`,
 so identical analyses produce identical bytes, and streamed: records
-are lazy iterables, built one record at a time as the report is
-written, so a report is never held whole in memory.  Arrangement records
-are :class:`ArrangementRecords`, sized and re-iterable, and are written
-straight from the columns of their :class:`~wfsat.decisions.RecordTable`
-blocks, with no record or dict built: each solution and instance has one
-frame, its reference record rendered once with the count, release order
-and slots left as holes, and each row fills those holes.  Each table's
-release order is rendered once, and each slot once per slot id, so only
-the class size is written afresh per record.  The shape is published as
-a JSON Schema in ``report-schema.json`` next to this module.
+are lazy iterables, rendered as the report is written and handed to the
+writer in blocks of a few dozen, so a report is never held whole in
+memory.  Arrangement records are :class:`ArrangementRecords`, sized and
+re-iterable, and are written straight from the columns of their
+:class:`~wfsat.decisions.RecordTable` blocks, column by column, with no
+record or dict built and no Python code run per row: each solution and
+instance has one frame, its reference record rendered once with the
+count, release order and slots left as holes, and each row fills those
+holes.  Each table's release order is rendered once, and each slot once
+per slot id, so only the class size is converted afresh per record.
+The shape is published as a JSON Schema in ``report-schema.json`` next
+to this module.
 """
 
 from __future__ import annotations
@@ -118,6 +120,14 @@ def _arrangement_texts(pad: str) -> Callable[[RecordTable], Iterator[str]]:
     * each slot, on its slot id in its table's list of slots, never
       whole slot vectors, whose number grows with the records'.
 
+    A table is rendered column by column, with no Python code run per
+    row: each distinct solution's frame is looked up once per table,
+    with the release order already between its pieces, and ``map`` and
+    ``zip`` then draw each row's frame pieces, its count and the text of
+    each of its slot ids into one ``"".join``.  Every column is an
+    iterator over the table's own columns, so rendering holds nothing
+    per row.
+
     Solutions, instances and slot lists are keyed by identity, which
     stays stable while the tables being written hold them.  An id that
     renders like the hole splits a frame into more than four pieces:
@@ -137,20 +147,30 @@ def _arrangement_texts(pad: str) -> Callable[[RecordTable], Iterator[str]]:
         return head, mid, between + "[", field + "]" + tail
 
     def texts(table: RecordTable) -> Iterator[str]:
-        arrangements = table.arrangements
+        arrangements, solutions = table.arrangements, table.solutions
         owner, slots = arrangements.owner, arrangements.slots
-        by_id = slot_texts.get(id(slots))
-        if by_id is None:
-            by_id = slot_texts[id(slots)] = Memo(lambda k: item + _render(slots[k], item))
-        slot = by_id.__getitem__
+        slot = slot_texts.get(id(slots))
+        if slot is None:
+            slot = slot_texts[id(slots)] = Memo(lambda k: item + _render(slots[k], item))
         order = orders[arrangements.release_order]
-        for count, solution, row in zip(table.counts, table.solutions, arrangements.rows()):
-            key = id(solution), id(owner)
-            pieces = frames.get(key)
+        table_frames = {}
+        for key, solution in dict(zip(map(id, solutions), solutions)).items():
+            pieces = frames.get((key, id(owner)))
             if pieces is None:
-                pieces = frames[key] = frame(owner, solution)
+                pieces = frames[key, id(owner)] = frame(owner, solution)
             head, mid, between, tail = pieces
-            yield "".join((head, str(count), mid, order, between, ",".join(map(slot, row)), tail))
+            table_frames[key] = head, mid + order + between, tail
+        # zip draws from its arguments left to right, so an iterator passed
+        # at several places gives each of them its next item: the three
+        # pieces of a row's frame, and the texts of its slot ids, each
+        # after the first behind a comma.
+        framed = itertools.chain.from_iterable(map(table_frames.__getitem__, map(id, solutions)))
+        slot_column = map(slot.__getitem__, arrangements.ids)
+        later_slots = [itertools.repeat(","), slot_column] * len(arrangements.release_order)
+        return map(
+            "".join,
+            zip(framed, map(str, table.counts), framed, slot_column, *later_slots, framed),
+        )
 
     return texts
 

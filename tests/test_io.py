@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import enum
 import itertools
 import json
@@ -9,6 +10,7 @@ import random
 import re
 import time
 import tracemalloc
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,11 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfsat import decisions, reports
-from wfsat.arrangements import count_sequences, eliminate_xor, enumerate_arrangements
+from wfsat.arrangements import (
+    ArrangementTable,
+    Chain,
+    count_sequences,
+    eliminate_xor,
+    enumerate_arrangements,
+)
 from wfsat.cli import main
-from wfsat.decisions import ArrangementRecord
+from wfsat.decisions import ArrangementRecord, RecordTable
 from wfsat.errors import SchemaSemanticError, SchemaSyntaxError
 from wfsat.io import (
+    _BLOCK,
+    Prerendered,
     _render,
     canonical_json,
     export_dot,
@@ -412,6 +422,107 @@ class TestRecordText:
         for _ in range(depth):
             report, plain = {"outer": report}, {"outer": plain}
         assert canonical_json(report) == json_dumps(plain)
+
+
+class _Listed(Prerendered):
+    """A list whose elements are rendered by the reference renderer."""
+
+    def __init__(self, items: list):
+        self._items = items
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def texts(self, pad: str):
+        return map(_render, self._items, itertools.repeat(pad))
+
+
+BLOCK_EDGES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+ARRAY_KINDS = {"list": list, "iterator": iter, "prerendered": _Listed}
+
+
+def element(i: int) -> dict:
+    return {"i": i, "name": f"e{i}", "tags": ["t"] * (i % 3)}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("kind", sorted(ARRAY_KINDS))
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("k", BLOCK_EDGES)
+    def test_block_edges_render_like_json_dumps(self, k, depth, kind):
+        items = [element(i) for i in range(k)]
+        value, plain = ARRAY_KINDS[kind](items), items
+        for _ in range(depth):
+            # A sibling on each side: the array's pieces start after a key
+            # and end before the next one.
+            value, plain = {"a": 0, "b": value, "c": [1]}, {"a": 0, "b": plain, "c": [1]}
+        assert canonical_json(value) == json_dumps(plain)
+
+    @pytest.mark.parametrize("kind", sorted(ARRAY_KINDS))
+    @pytest.mark.parametrize("k", [*BLOCK_EDGES, 10 * _BLOCK + 3])
+    def test_an_array_reaches_the_writer_in_blocks(self, k, kind):
+        items = [element(i) for i in range(k)]
+        pieces = list(iter_canonical_json(ARRAY_KINDS[kind](items)))
+        assert "".join(pieces) == json_dumps(items)
+        assert len(pieces) <= math.ceil(k / _BLOCK) + 3
+
+
+def two_instance_tables() -> list[RecordTable]:
+    """The record tables of a schema with two instances, 8 rows each."""
+    schema = Schema(
+        workflow=par(seq(step("s1"), xor(release("r1"), release("r2"))), step("s2"), step("s3"), step("s4")),
+        users=("u1", "u2"),
+        authorizations={s: frozenset({"u1"}) for s in ("s1", "s2", "s3", "s4")},
+    )
+    assert validate_schema(schema) == []
+    return decisions.analyze(schema).records.blocks
+
+
+class TestRecordColumns:
+    def test_an_empty_table_renders_nothing(self, purchase_order):
+        tables = decisions.analyze(purchase_order).records.blocks
+        arrangements = tables[0].arrangements
+        empty = RecordTable(
+            ArrangementTable(arrangements.owner, arrangements.release_order, arrangements.slots, array("I")),
+            [],
+            [],
+        )
+        assert list(reports._arrangement_texts("\n")(empty)) == []
+        assert list(reports.ArrangementRecords(Chain([empty])).texts("\n")) == []
+        assert canonical_json({"records": reports.ArrangementRecords(Chain([empty, empty]))}) == json_dumps(
+            {"records": []}
+        )
+        # Empty tables before, between and after others, across block edges.
+        blocks = [empty]
+        for _ in range(_BLOCK):
+            blocks += [*tables, empty]
+        records = reports.ArrangementRecords(Chain(blocks))
+        assert len(records) == _BLOCK * len(Chain(tables))
+        assert canonical_json({"records": records}) == json_dumps({"records": list(records)})
+
+    def test_rows_interleaving_solutions_render_like_the_reference(self):
+        tables = []
+        for table in two_instance_tables():
+            solved = table.solutions[0]
+            # Three distinct solutions and None, in a cycle that does not
+            # divide the table's length; both instances' tables hold None.
+            cycle = [
+                solved,
+                None,
+                dataclasses.replace(solved, constraint_weight=solved.constraint_weight + 3),
+                dataclasses.replace(solved, authorization_weight=solved.authorization_weight + 5),
+                None,
+            ]
+            solutions = [cycle[i % len(cycle)] for i in range(len(table))]
+            tables.append(RecordTable(table.arrangements, table.counts, solutions))
+        assert [len(set(map(id, t.solutions))) for t in tables] == [4, 4]
+        rows = Chain(tables)
+        assert {r.arrangement.owner.index for r in rows if r.solution is None} == {0, 1}
+        records = reports.ArrangementRecords(rows)
+        for pad in ("\n", "\n    "):
+            expected = [_render(reports.arrangement_record(r), pad) for r in rows]
+            assert list(records.texts(pad)) == expected
+        assert canonical_json({"records": records}) == json_dumps({"records": list(records)})
 
 
 class TestStreaming:
