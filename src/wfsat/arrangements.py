@@ -115,12 +115,16 @@ class ArrangementTable(abc.Sequence):
     list of distinct slot contents that the tables of one
     :func:`enumerate_arrangements` call share.  The release order and
     the owner are stored once.  Reading an arrangement builds it.
+    ``keys``, when :func:`enumerate_arrangements` was given weights,
+    holds each arrangement's cost signature (exact ints, with one object
+    per distinct value), and is otherwise ``None``.
     """
 
     owner: XorFreeInstance
     release_order: tuple[str, ...]
     slots: list[tuple[str, ...]]
     ids: array
+    keys: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.ids) // (len(self.release_order) + 1)
@@ -214,7 +218,7 @@ def eliminate_xor(root: CompositionNode) -> list[XorFreeInstance]:
     ]
 
 
-def enumerate_arrangements(instance: XorFreeInstance) -> Chain:
+def enumerate_arrangements(instance: XorFreeInstance, weights=None) -> Chain:
     """All execution arrangements of an xor-free instance, canonically ordered.
 
     Release orders are the linear extensions of the poset restricted to the
@@ -238,6 +242,13 @@ def enumerate_arrangements(instance: XorFreeInstance) -> Chain:
     its release order's :class:`ArrangementTable`; the result is the
     :class:`Chain` of those tables, one per release order, and builds
     each :class:`Arrangement` only when it is read.
+
+    ``weights``, when given, is the first half of
+    :func:`wfsat.solver.cost_keys`: ``weights(release_order)[j][d]`` is
+    step j's part of the cost signature in slot d.  The odometer then
+    keeps a running sum per depth, adds the placed step's part as it
+    descends, and appends the full sum of each emitted vector to its
+    table's ``keys``, one ``int`` object per distinct signature.
     """
     poset = instance.poset
     steps = list(instance.steps)
@@ -250,6 +261,8 @@ def enumerate_arrangements(instance: XorFreeInstance) -> Chain:
     slots: list[tuple[str, ...]] = [()]  # id 0 is the empty slot
     # grown[k * n + j] is the id of slots[k] + (steps[j],).
     grown: dict[int, int] = {}
+    intern = {}.setdefault
+    keys = None
     for release_order in iter_sequences(poset.restrict(instance.releases)):
         # Feasible slot interval per step: a step sits after every release
         # point below it and before every release point above it.
@@ -264,6 +277,11 @@ def enumerate_arrangements(instance: XorFreeInstance) -> Chain:
             lows.append(lo)
             highs.append(hi)
         ids = array("I")
+        if weights is not None:
+            parts = weights(release_order)
+            keys = []
+            # sums[j] is the signature part of the steps placed before step j.
+            sums = [0] * (n + 1)
         # Step j sits in slot digits[j], whose id it grew from below[j].
         row = [0] * q
         digits = [0] * n
@@ -279,6 +297,8 @@ def enumerate_arrangements(instance: XorFreeInstance) -> Chain:
                     slots.append(slots[slot] + (steps[j],))
                 row[d] = new
                 digits[j] = d
+                if keys is not None:
+                    sums[j + 1] = sums[j] + parts[j][d]
                 j += 1
                 if j < n:
                     d = lows[j]
@@ -288,13 +308,15 @@ def enumerate_arrangements(instance: XorFreeInstance) -> Chain:
                 continue
             if j == n:
                 ids.fromlist(row)
+                if keys is not None:
+                    keys.append(intern(sums[n], sums[n]))
             # Take the last placed step out and move it one slot up.
             j -= 1
             if j >= 0:
                 d = digits[j]
                 row[d] = below[j]
                 d += 1
-        tables.append(ArrangementTable(instance, release_order, slots, ids))
+        tables.append(ArrangementTable(instance, release_order, slots, ids, keys))
     return Chain(tables)
 
 

@@ -17,7 +17,7 @@ rational arithmetic) and the probability of completing within budget.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arrangements import (
@@ -31,7 +31,14 @@ from .arrangements import (
 )
 from .errors import ZeroWeight
 from .model import Schema
-from .solver import CostedPlan, SolveCache, cost_keys, min_cost_arrangement
+from .solver import (
+    ClassicalConstraint,
+    CostedPlan,
+    SolveCache,
+    cost_keys,
+    decompose_constraint,
+    solve_components,
+)
 
 
 @dataclass(slots=True)
@@ -122,28 +129,41 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     Arrangements of one instance with equal decomposition groupings share
     one minimum-cost plan (see :func:`wfsat.solver.cost_signature`), so
     there is one solve per decomposition grouping.  Each instance sets up
-    its cost keys once (:func:`wfsat.solver.cost_keys`).  Each release
-    order's :class:`ArrangementTable` is read column by column: a cost
-    signature per row, summed from parts memoized per slot position and
-    slot id, and a class size per row, from counts memoized per slot id
+    its cost keys once (:func:`wfsat.solver.cost_keys`), and
+    :func:`~wfsat.arrangements.enumerate_arrangements` sums each row's
+    cost signature from the steps' parts as it places them, into a key
+    column per :class:`ArrangementTable`.  The class sizes are read
+    column by column, from counts memoized per slot id
     (:func:`~wfsat.arrangements.class_sizes`).  The grouping is decoded
-    once per distinct signature; only the first row of each new grouping
-    is built and solved.  ``mass`` adds the class sizes summed per
-    signature.  The class sizes and solutions are kept as two columns
-    beside the table (:class:`RecordTable`); no arrangement or record is
-    kept.  The analysis is serial.  ``jobs`` is accepted for
-    compatibility and ignored.
+    once per distinct signature of a table.  Each new grouping's
+    classical constraints come, per constraint, from a memo on
+    (constraint id, present scope steps, labels) that all instances
+    share, since decomposition reads nothing else; only a miss builds
+    the row and calls :func:`~wfsat.solver.decompose_constraint`.  They
+    are solved by :func:`~wfsat.solver.solve_components`.  ``mass`` adds
+    the class sizes summed per signature.  The class sizes and solutions
+    are kept as two columns beside the table (:class:`RecordTable`); the
+    key column is dropped once its table is priced, and no arrangement
+    or record is kept.  The analysis is serial.  ``jobs`` is accepted
+    for compatibility and ignored.
     """
     instances = eliminate_xor(schema.workflow)
     cache = SolveCache()
+    pieces: dict[tuple, list[ClassicalConstraint]] = {}
     tables: list[RecordTable] = []
     mass: dict[int, int] = {}
     for instance in instances:
         by_signature: dict[int, CostedPlan] = {}
         by_grouping: dict[tuple[int, ...], CostedPlan] = {}
-        signatures, grouping = cost_keys(schema, instance.steps)
-        for arrangements in enumerate_arrangements(instance).blocks:
-            keys = signatures(arrangements)
+        weights, grouping = cost_keys(schema, instance.steps)
+        # Each constraint's present scope steps, which number its labels in
+        # a grouping; constraints with none decompose to nothing.
+        present = set(instance.steps)
+        scopes = [(c, tuple(s for s in c.scope if s in present)) for c in schema.constraints]
+        scopes = [(c, scope) for c, scope in scopes if scope]
+        blocks = enumerate_arrangements(instance, weights).blocks
+        for b, arrangements in enumerate(blocks):
+            keys = arrangements.keys
             counts = class_sizes(arrangements)
             # Class sizes summed per signature.  The sums keep the signatures'
             # order of first appearance, so each new grouping solves its first row.
@@ -156,13 +176,27 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
                     grouped = grouping(key)
                     solution = by_grouping.get(grouped)
                     if solution is None:
-                        solution = by_grouping[grouped] = min_cost_arrangement(
-                            arrangements[keys.index(key)], schema, cache
+                        arrangement = None
+                        classical: list[ClassicalConstraint] = []
+                        start = 0
+                        for c, scope in scopes:
+                            piece = (c.id, scope, grouped[start : start + len(scope)])
+                            start += len(scope)
+                            found = pieces.get(piece)
+                            if found is None:
+                                if arrangement is None:
+                                    arrangement = arrangements[keys.index(key)]
+                                found = pieces[piece] = decompose_constraint(c, arrangement, schema)
+                            classical += found
+                        solution = by_grouping[grouped] = solve_components(
+                            instance.steps, classical, schema, cache
                         )
                     by_signature[key] = solution
                 total = solution.total
                 mass[total] = mass.get(total, 0) + count
             solutions = list(map(by_signature.__getitem__, keys))
+            # The analysis keeps every table; it needs no key column.
+            blocks[b] = arrangements = replace(arrangements, keys=None)
             tables.append(RecordTable(arrangements, counts, solutions))
     return Analysis(
         schema=schema,

@@ -22,11 +22,10 @@ tie-break is canonical too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import inf
 from operator import add
 
-from .arrangements import Arrangement, ArrangementTable
+from .arrangements import Arrangement
 from .errors import TooManyBlocks
 from .model import (
     Memo,
@@ -134,7 +133,8 @@ def cost_signature(arrangement: Arrangement, schema: Schema) -> int:
     field of ``max(1, len(constraint.release).bit_length())`` bits holds
     it.  The layout depends only on the schema and the steps of the
     arrangement's instance, ``arrangement.owner``, so within one instance
-    equal signatures mean equal entries.
+    equal signatures mean equal entries.  The fields of all constraints
+    together can span more than 64 bits.
 
     The signature is finer than the solve needs.  Decomposition reads of
     each constraint only which of its scope steps share a segment: a
@@ -146,62 +146,74 @@ def cost_signature(arrangement: Arrangement, schema: Schema) -> int:
     whose signatures agree after their grouping (see :func:`cost_keys`)
     relabels each constraint's segments by first appearance share their
     minimum-cost plan, witness included, and ``analyze`` runs one solve
-    per decomposition grouping.  It is the one row of ``signatures`` (see
-    :func:`cost_keys`) on a table of the arrangement alone.
+    per decomposition grouping.  The signature is the sum of each step's
+    part for its slot, the ``weights`` of :func:`cost_keys`, which
+    :func:`~wfsat.arrangements.enumerate_arrangements` sums as it places
+    the steps.
     """
-    signatures, _ = cost_keys(schema, arrangement.owner.steps)
-    return signatures(ArrangementTable.of([arrangement], [], {}))[0]
+    steps = arrangement.owner.steps
+    weights, _ = cost_keys(schema, steps)
+    parts = dict(zip(steps, weights(arrangement.release_order)))
+    return sum(parts[s][d] for d, slot in enumerate(arrangement.slots) for s in slot)
 
 
 def cost_keys(schema: Schema, steps):
-    """``(signatures, grouping)`` for arrangements over ``steps``.
+    """``(weights, grouping)`` for arrangements over ``steps``.
 
-    The entries' bit fields are laid out once.  ``signatures(table)`` is
-    the list of :func:`cost_signature` of the rows of an
-    :class:`~wfsat.arrangements.ArrangementTable`, worked out column by
-    column: for each slot position, a part memoized per slot id (the
-    segment index of each scope entry in the slot, shifted to its field)
-    is read for the position's column of ids and added to the running
-    sums, and equal signatures of a table share one ``int``.
-    ``grouping(signature)`` reads each constraint's entries back and
-    relabels them by first appearance, so it records only which of the
-    constraint's scope steps share a segment.
+    The entries' bit fields are laid out once.  ``weights(release_order)``
+    lists, for each of ``steps`` in turn, its part of the
+    :func:`cost_signature` in each slot: the segment index of each of the
+    step's scope entries, shifted to its field.  Steps own disjoint
+    fields, so an arrangement's signature is the sum of its steps' parts
+    for their slots.  ``grouping(signature)`` reads each constraint's
+    chunk of fields back and relabels its entries by first appearance,
+    so it records only which of the constraint's scope steps share a
+    segment; the labels are concatenated in constraint order, and each
+    chunk is decoded once per distinct value of the chunk.
     """
     fields: dict[str, list[tuple[int, int]]] = {s: [] for s in steps}  # (constraint, offset)
-    chunks: list[tuple[list[int], int]] = []  # per constraint: (offsets, field mask)
+    chunks: list[tuple[int, int, Memo]] = []  # per constraint: (offset, mask, labels by value)
     offset = 0
     for i, c in enumerate(schema.constraints):
         width = max(1, len(c.release).bit_length())
-        offsets = []
+        start = offset
         for s in c.scope:
             if s in fields:
                 fields[s].append((i, offset))
-                offsets.append(offset)
                 offset += width
-        if offsets:
-            chunks.append((offsets, (1 << width) - 1))
+        if offset > start:
+            size = (offset - start) // width
+            chunks.append((start, (1 << offset - start) - 1, Memo(_chunk_labels(width, size))))
 
-    def signatures(table: ArrangementTable) -> list[int]:
-        segments = [_segment_of_slot(table.release_order, c) for c in schema.constraints]
-        slots, q = table.slots, len(table.release_order) + 1
-        out = repeat(0, len(table))
-        for d in range(q):
-            part = Memo(  # d=d: the maps run after the loop
-                lambda k, d=d: sum(segments[i][d] << o for s in slots[k] for i, o in fields[s])
-            )
-            out = map(add, out, map(part.__getitem__, table.ids[d::q]))
-        # Rows share one int per distinct signature; a table has few of them.
-        out = list(out)
-        return list(map({}.setdefault, out, out))
+    def weights(release_order: tuple[str, ...]) -> list[list[int]]:
+        segments = [_segment_of_slot(release_order, c) for c in schema.constraints]
+        q = len(release_order) + 1
+        return [
+            [sum(segments[i][d] << o for i, o in fields[s]) for d in range(q)] for s in steps
+        ]
 
     def grouping(signature: int) -> tuple[int, ...]:
         out: list[int] = []
-        for offsets, mask in chunks:
-            labels: dict[int, int] = {}
-            out.extend([labels.setdefault(signature >> o & mask, len(labels)) for o in offsets])
+        for start, mask, labels in chunks:
+            out += labels[signature >> start & mask]
         return tuple(out)
 
-    return signatures, grouping
+    return weights, grouping
+
+
+def _chunk_labels(width: int, size: int):
+    """Decoder of one constraint's chunk of ``size`` fields of ``width``
+    bits: each field's value relabelled by first appearance, lowest field
+    first."""
+    mask = (1 << width) - 1
+
+    def labels(chunk: int) -> tuple[int, ...]:
+        seen: dict[int, int] = {}
+        return tuple(
+            seen.setdefault(chunk >> o & mask, len(seen)) for o in range(0, width * size, width)
+        )
+
+    return labels
 
 
 def iter_partitions(items, max_blocks: int):
@@ -444,11 +456,10 @@ def min_cost_arrangement(
 ) -> CostedPlan:
     """Minimum total cost over all plans for the arrangement's steps.
 
-    The decomposed constraints induce a graph joining steps that share a
-    subscope; connected components interact through neither constraints
-    nor the per-step additive authorization cost, so they are solved
-    independently (and memoized in ``cache``, a fresh one if none is
-    given) and their costs summed.
+    The schema's constraints are decomposed at the arrangement's release
+    points (:func:`decompose_constraint`) and the arrangement's steps are
+    solved under them by :func:`solve_components`, memoized in ``cache``,
+    a fresh one if none is given.
     """
     if cache is None:
         cache = SolveCache()
@@ -458,8 +469,21 @@ def min_cost_arrangement(
         for cc in decompose_constraint(c, arrangement, schema)
     ]
     # Slots partition the owner's steps, which are in canonical order.
-    steps = arrangement.owner.steps
+    return solve_components(arrangement.owner.steps, classical, schema, cache)
 
+
+def solve_components(
+    steps: tuple[str, ...], classical: list[ClassicalConstraint], schema: Schema, cache: SolveCache
+) -> CostedPlan:
+    """Minimum total cost over all plans for ``steps``, in canonical order,
+    under the release-free ``classical`` constraints over them.
+
+    The constraints induce a graph joining steps that share a subscope;
+    connected components interact through neither constraints nor the
+    per-step additive authorization cost, so they are solved
+    independently (and memoized in ``cache``) and their costs summed.
+    The order of ``classical`` changes nothing.
+    """
     parent = {s: s for s in steps}
 
     def find(x: str) -> str:

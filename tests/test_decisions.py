@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from wfsat import arrangements, decisions
+from wfsat import arrangements, decisions, solver
 from wfsat.arrangements import (
     class_sizes,
     count_sequences,
@@ -27,7 +30,7 @@ from wfsat.errors import ZeroWeight
 from wfsat.model import Schema, WeightedConstraint, par, release, seq, step, xor
 from wfsat.oracle import oracle_decide
 from wfsat.sequences import count_linear_extensions, sequence_count
-from wfsat.solver import cost_keys, min_cost_arrangement
+from wfsat.solver import cost_keys, cost_signature, min_cost_arrangement
 
 from helpers import arrangements_by_filter, span_grouping
 from randgen import random_schema
@@ -226,11 +229,14 @@ class TestTableColumns:
     def assert_rows_match(schema) -> int:
         rows = 0
         for inst in eliminate_xor(schema.workflow):
-            signatures, grouping = cost_keys(schema, inst.steps)
-            for table in enumerate_arrangements(inst).blocks:
-                keys, sizes = signatures(table), class_sizes(table)
+            weights, grouping = cost_keys(schema, inst.steps)
+            for table in enumerate_arrangements(inst, weights).blocks:
+                keys, sizes = table.keys, class_sizes(table)
                 assert len(keys) == len(sizes) == len(table)
+                # Equal signatures of a table share one int.
+                assert len(set(map(id, keys))) == len(set(keys))
                 for key, size, arrangement in zip(keys, sizes, table):
+                    assert key == cost_signature(arrangement, schema)
                     assert grouping(key) == span_grouping(arrangement, schema)
                     assert size == count_sequences(arrangement)
                 rows += len(table)
@@ -261,6 +267,24 @@ class TestTableColumns:
 
     def test_heavy(self, heavy_schema):
         assert self.assert_rows_match(heavy_schema) == 86_011
+
+    def test_signatures_wider_than_64_bits(self):
+        schema = wide_signature_schema()
+        assert self.assert_rows_match(schema) == 16
+        inst, = eliminate_xor(schema.workflow)
+        weights, _ = cost_keys(schema, inst.steps)
+        keys = {k for t in enumerate_arrangements(inst, weights).blocks for k in t.keys}
+        assert max(keys).bit_length() > 64
+        assert len(keys) == 16
+        for record in analyze(schema).records:
+            assert record.solution == min_cost_arrangement(record.arrangement, schema)
+
+    def test_enumeration_without_weights_has_no_keys(self, purchase_order):
+        for inst in eliminate_xor(purchase_order.workflow):
+            assert all(t.keys is None for t in enumerate_arrangements(inst).blocks)
+
+    def test_analysis_keeps_no_key_column(self, purchase_order_restricted):
+        assert all(t.arrangements.keys is None for t in analyze(purchase_order_restricted).records.blocks)
 
     def test_each_slot_counted_once(
         self, monkeypatch, sweep_corpus, purchase_order, purchase_order_restricted,
@@ -355,17 +379,105 @@ class TestStrongSat:
         assert check_strong_sat(schema)[0] is True
 
 
+def wide_signature_schema() -> Schema:
+    """Four parallel steps beside one release point, under 20 constraints
+    that each split all four at it: 16 arrangements, and signatures of 80
+    one-bit fields, whose top fields are set when s4 follows r1."""
+    steps = ("s1", "s2", "s3", "s4")
+    constraints = tuple(
+        WeightedConstraint(
+            id=f"c{i}", kind="atmost", scope=steps, k=1 + i % 3, release=("r1",), weight=1 + i % 4
+        )
+        for i in range(20)
+    )
+    return Schema(
+        workflow=par(par(step("s1"), step("s2")), par(release("r1"), par(step("s3"), step("s4")))),
+        users=("u1", "u2", "u3"),
+        authorizations={s: frozenset({"u1", "u2"}) for s in steps},
+        constraints=constraints,
+    )
+
+
+def piece_of(constraint, arrangement, schema) -> tuple:
+    """The (constraint id, present scope steps, labels) of one constraint's
+    decomposition at an arrangement: all that decomposition reads.
+    ``schema`` holds that constraint alone."""
+    present = tuple(s for s in constraint.scope if s in arrangement.owner.steps)
+    return constraint.id, present, span_grouping(arrangement, schema)
+
+
+def alone(schema, constraint):
+    return dataclasses.replace(schema, constraints=(constraint,))
+
+
+class TestSharedDecomposition:
+    """``analyze`` decomposes each constraint once per distinct piece, for
+    all instances together."""
+
+    @staticmethod
+    def decomposed(monkeypatch, schema) -> list[tuple]:
+        """The piece of every ``decompose_constraint`` call of one
+        ``analyze``, patched wherever a module holds it, as the
+        benchmark's tracer patches it."""
+        calls = []
+        original = solver.decompose_constraint
+
+        def recording(constraint, arrangement, schema):
+            calls.append(piece_of(constraint, arrangement, alone(schema, constraint)))
+            return original(constraint, arrangement, schema)
+
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "wfsat"]
+        with monkeypatch.context() as patch:
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        patch.setattr(module, attr, recording)
+            analyze(schema)
+        return calls
+
+    @staticmethod
+    def pieces(schema) -> set[tuple]:
+        # span_grouping concatenates each constraint's labels, one per
+        # present scope step, in constraint order.
+        out = set()
+        for inst in eliminate_xor(schema.workflow):
+            scopes = [(c.id, tuple(s for s in c.scope if s in inst.steps)) for c in schema.constraints]
+            scopes = [(i, scope) for i, scope in scopes if scope]
+            for grouped in {span_grouping(arr, schema) for arr in enumerate_arrangements(inst)}:
+                labels = iter(grouped)
+                out.update(
+                    (i, scope, tuple(itertools.islice(labels, len(scope)))) for i, scope in scopes
+                )
+        return out
+
+    def assert_one_call_per_piece(self, monkeypatch, schema) -> int:
+        calls = self.decomposed(monkeypatch, schema)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == self.pieces(schema)
+        return len(calls)
+
+    def test_corpus(self, monkeypatch, small_corpus):
+        assert sum(self.assert_one_call_per_piece(monkeypatch, s) for s in small_corpus) > 0
+
+    def test_heavy(self, monkeypatch, heavy_schema):
+        # 300 groupings over 3 instances and 9 constraints.
+        assert self.assert_one_call_per_piece(monkeypatch, heavy_schema) == 29
+
+    def test_scaling_schema(self, monkeypatch):
+        assert self.assert_one_call_per_piece(monkeypatch, synthetic_schema()) > 0
+
+
 class TestSolveCount:
     @staticmethod
     def solves(monkeypatch, schema) -> int:
         calls = []
-        solve = decisions.min_cost_arrangement
+        solve = decisions.solve_components
 
         def counted(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(decisions, "min_cost_arrangement", counted)
+        monkeypatch.setattr(decisions, "solve_components", counted)
         analyze(schema)
         return len(calls)
 

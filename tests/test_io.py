@@ -54,6 +54,27 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def assert_same_texts(got, expected) -> None:
+    """``got == expected`` for two lists of record texts, or two texts.
+
+    pytest's diff of two multi-kilobyte reports can run for minutes, so
+    this compares the lengths, then names the first record (a list
+    element, or a line of a text) that differs and shows only that one.
+    It passes exactly when the two are equal.
+    """
+    what = "record"
+    if isinstance(expected, str):
+        got, expected, what = got.splitlines(keepends=True), expected.splitlines(keepends=True), "line"
+    got, expected = list(got), list(expected)
+    first = next(
+        (i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected))
+    )
+    if len(got) != len(expected):
+        pytest.fail(f"{len(got)} {what}s, expected {len(expected)}; first differing {what}: {first}")
+    if first < len(got):
+        pytest.fail(f"{what} {first} differs:\n{got[first]!r}\nexpected\n{expected[first]!r}")
+
+
 class TestParse:
     def test_purchase_order_shape(self, purchase_order):
         assert len(purchase_order.steps) == 7
@@ -363,6 +384,18 @@ def unsolved_rows(schema: Schema) -> list[ArrangementRecord]:
 
 
 class TestRecordText:
+    def test_a_differing_report_fails_fast(self):
+        texts = [json_dumps({"record": i, "pad": "x" * 500}) for i in range(4_096)]
+        changed = texts[:4_000] + ["{}"] + texts[4_001:]
+        assert_same_texts(iter(texts), list(texts))
+        assert_same_texts("".join(texts), "".join(texts))
+        with pytest.raises(pytest.fail.Exception, match="^record 4000 differs"):
+            assert_same_texts(changed, texts)
+        with pytest.raises(pytest.fail.Exception, match="^4095 records, expected 4096; first differing record: 4095$"):
+            assert_same_texts(texts[:-1], texts)
+        with pytest.raises(pytest.fail.Exception, match="lines, expected"):
+            assert_same_texts("".join(changed), "".join(texts))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_equals_the_reference_renderer(self, seed):
@@ -374,7 +407,7 @@ class TestRecordText:
             records = reports.ArrangementRecords(rows)
             for pad in ("\n", "\n    ", "\n" + " " * 10):
                 expected = [_render(reports.arrangement_record(r), pad) for r in rows]
-                assert list(records.texts(pad)) == expected
+                assert_same_texts(records.texts(pad), expected)
 
     def test_unsolved_rows_keep_their_instance_choices(self):
         # Unsolved rows of both instances share the solution None and the
@@ -390,7 +423,7 @@ class TestRecordText:
         assert slots[0] == slots[1]
         for pad in ("\n", "\n    "):
             expected = [_render(reports.arrangement_record(r), pad) for r in rows]
-            assert list(reports.ArrangementRecords(rows).texts(pad)) == expected
+            assert_same_texts(reports.ArrangementRecords(rows).texts(pad), expected)
 
     def test_follows_the_fields_of_the_reference_record(self, purchase_order, monkeypatch):
         # Two more fields, one sorting just before "count", one after "witness".
@@ -403,7 +436,7 @@ class TestRecordText:
         rows = list(decisions.analyze(purchase_order).records) + unsolved_rows(purchase_order)
         for pad in ("\n", "\n    "):
             expected = [_render(extended(r), pad) for r in rows]
-            assert list(reports.ArrangementRecords(rows).texts(pad)) == expected
+            assert_same_texts(reports.ArrangementRecords(rows).texts(pad), expected)
 
     def test_an_id_that_renders_like_the_hole_raises(self):
         # A library-built schema skips the id syntax check; its one user
@@ -421,7 +454,7 @@ class TestRecordText:
         report, plain = {"records": records}, {"records": list(records)}
         for _ in range(depth):
             report, plain = {"outer": report}, {"outer": plain}
-        assert canonical_json(report) == json_dumps(plain)
+        assert_same_texts(canonical_json(report), json_dumps(plain))
 
 
 class _Listed(Prerendered):
@@ -498,7 +531,7 @@ class TestRecordColumns:
             blocks += [*tables, empty]
         records = reports.ArrangementRecords(Chain(blocks))
         assert len(records) == _BLOCK * len(Chain(tables))
-        assert canonical_json({"records": records}) == json_dumps({"records": list(records)})
+        assert_same_texts(canonical_json({"records": records}), json_dumps({"records": list(records)}))
 
     def test_rows_interleaving_solutions_render_like_the_reference(self):
         tables = []
@@ -521,8 +554,8 @@ class TestRecordColumns:
         records = reports.ArrangementRecords(rows)
         for pad in ("\n", "\n    "):
             expected = [_render(reports.arrangement_record(r), pad) for r in rows]
-            assert list(records.texts(pad)) == expected
-        assert canonical_json({"records": records}) == json_dumps({"records": list(records)})
+            assert_same_texts(records.texts(pad), expected)
+        assert_same_texts(canonical_json({"records": records}), json_dumps({"records": list(records)}))
 
 
 class TestStreaming:
