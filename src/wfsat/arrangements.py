@@ -13,9 +13,11 @@ The enumeration is an odometer loop, not a recursion, so a long chain of
 steps costs no stack.  It grows each slot one step at a time from tuples
 it has already made, numbering each distinct slot content once, and
 writes the arrangements of each release order into one
-:class:`ArrangementTable`: a flat array of slot ids, q per arrangement.
-The tables of one instance make up a :class:`Chain`, a sequence that
-builds each :class:`Arrangement` only when it is read.
+:class:`ArrangementTable`: a flat array of slot ids, q per arrangement,
+and, when given the steps' cost-signature parts, a column of each
+arrangement's signature, summed as the steps are placed.  The tables of
+one instance make up a :class:`Chain`, a sequence that builds each
+:class:`Arrangement` only when it is read.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Top-level decision procedures under the uniform sequence distribution.
 
 Every procedure runs the same pipeline once: eliminate xor branchings,
-enumerate the execution arrangements of each xor-free instance, give
-each arrangement a cost signature and its class size (the number of
-sequences in its class), read column by column from per-slot parts, and
-run one solve per decomposition grouping (arrangements of an instance
-that split every constraint's scope steps alike at its release points
-share their minimum-cost plan).  The pipeline fills one table,
+enumerate the execution arrangements of each xor-free instance with
+each one's cost signature, summed from per-step parts as the steps are
+placed, read each one's class size (the number of sequences in its
+class) column by column from per-slot counts, and run one solve per
+decomposition grouping (arrangements of an instance that split every
+constraint's scope steps alike at its release points share their
+minimum-cost plan), decomposing each constraint once per distinct split
+of its present scope steps.  The pipeline fills one table,
 ``Analysis.mass``: the number of execution sequences at each minimum
 cost.  Every decision reads that table: strong satisfiability (no
 sequence above cost zero), bounded cost (max cost within budget),

@@ -182,8 +182,7 @@ def cost_keys(schema: Schema, steps):
                 fields[s].append((i, offset))
                 offset += width
         if offset > start:
-            size = (offset - start) // width
-            chunks.append((start, (1 << offset - start) - 1, Memo(_chunk_labels(width, size))))
+            chunks.append((start, (1 << offset - start) - 1, Memo(_chunk_labels(width, offset - start))))
 
     def weights(release_order: tuple[str, ...]) -> list[list[int]]:
         segments = [_segment_of_slot(release_order, c) for c in schema.constraints]
@@ -201,17 +200,15 @@ def cost_keys(schema: Schema, steps):
     return weights, grouping
 
 
-def _chunk_labels(width: int, size: int):
-    """Decoder of one constraint's chunk of ``size`` fields of ``width``
-    bits: each field's value relabelled by first appearance, lowest field
-    first."""
+def _chunk_labels(width: int, bits: int):
+    """Decoder of one constraint's chunk of ``bits`` bits, in fields of
+    ``width`` bits: each field's value relabelled by first appearance,
+    lowest field first."""
     mask = (1 << width) - 1
 
     def labels(chunk: int) -> tuple[int, ...]:
         seen: dict[int, int] = {}
-        return tuple(
-            seen.setdefault(chunk >> o & mask, len(seen)) for o in range(0, width * size, width)
-        )
+        return tuple(seen.setdefault(chunk >> o & mask, len(seen)) for o in range(0, bits, width))
 
     return labels
 
