@@ -137,26 +137,6 @@ class ArrangementTable(abc.Sequence):
         row = tuple(map(self.slots.__getitem__, self.ids[i : i + q]))
         return Arrangement(self.release_order, row, self.owner)
 
-    @classmethod
-    def of(
-        cls,
-        arrangements: list[Arrangement],
-        slots: list[tuple[str, ...]],
-        index: dict[tuple[str, ...], int],
-    ) -> ArrangementTable:
-        """The table of ``arrangements``, which share one owner and one
-        release order.  ``index`` maps each slot content in ``slots`` to
-        its position there; contents new to it are appended to both."""
-        ids = array("I")
-        for arrangement in arrangements:
-            for slot in arrangement.slots:
-                if slot not in index:
-                    index[slot] = len(slots)
-                    slots.append(slot)
-                ids.append(index[slot])
-        first = arrangements[0]
-        return cls(first.owner, first.release_order, slots, ids)
-
     def __iter__(self) -> abc.Iterator[Arrangement]:
         slot, order, owner = self.slots.__getitem__, self.release_order, self.owner
         for row in zip(*[iter(self.ids)] * (len(order) + 1)):

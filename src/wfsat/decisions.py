@@ -102,7 +102,7 @@ class Analysis:
 
     schema: Schema
     instances: list[XorFreeInstance]
-    records: Sequence[ArrangementRecord]
+    records: Chain  # of RecordTable blocks
     mass: dict[int, int]
     cache_hits: int = 0
     cache_misses: int = 0
@@ -163,8 +163,7 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
         present = set(instance.steps)
         scopes = [(c, tuple(s for s in c.scope if s in present)) for c in schema.constraints]
         scopes = [(c, scope) for c, scope in scopes if scope]
-        blocks = enumerate_arrangements(instance, weights).blocks
-        for b, arrangements in enumerate(blocks):
+        for arrangements in enumerate_arrangements(instance, weights).blocks:
             keys = arrangements.keys
             counts = class_sizes(arrangements)
             # Class sizes summed per signature.  The sums keep the signatures'
@@ -198,8 +197,7 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
                 mass[total] = mass.get(total, 0) + count
             solutions = list(map(by_signature.__getitem__, keys))
             # The analysis keeps every table; it needs no key column.
-            blocks[b] = arrangements = replace(arrangements, keys=None)
-            tables.append(RecordTable(arrangements, counts, solutions))
+            tables.append(RecordTable(replace(arrangements, keys=None), counts, solutions))
     return Analysis(
         schema=schema,
         instances=instances,

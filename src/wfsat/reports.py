@@ -19,11 +19,11 @@ to this module.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from importlib import resources
 
-from .arrangements import Arrangement, ArrangementTable, Chain
+from .arrangements import Arrangement, Chain
 from .decisions import Analysis, ArrangementRecord, RecordTable
 from .io import Prerendered, _render
 from .model import Memo
@@ -61,13 +61,13 @@ def arrangement_record(record: ArrangementRecord) -> dict:
 class ArrangementRecords(Prerendered):
     """:func:`arrangement_record` of each row, written from memoized text.
 
-    ``rows`` is an analysis's records, or any sequence of
-    :class:`ArrangementRecord`.  ``len()`` is ``len(rows)``; each
-    iteration builds the records afresh, so a record exists only while it
-    is being written.
+    ``rows`` is a :class:`~wfsat.arrangements.Chain` of
+    :class:`RecordTable`, such as an analysis's records.  ``len()`` is
+    ``len(rows)``; each iteration builds the records afresh, so a record
+    exists only while it is being written.
     """
 
-    def __init__(self, rows: Sequence[ArrangementRecord]):
+    def __init__(self, rows: Chain):
         self._rows = rows
 
     def __len__(self) -> int:
@@ -77,26 +77,7 @@ class ArrangementRecords(Prerendered):
         return map(arrangement_record, self._rows)
 
     def texts(self, pad: str) -> Iterator[str]:
-        return itertools.chain.from_iterable(map(_arrangement_texts(pad), _tables(self._rows)))
-
-
-def _tables(rows: Sequence[ArrangementRecord]) -> list[RecordTable]:
-    """The record tables that hold ``rows``: an analysis's own, or else
-    one built per run of rows with the same instance and release order."""
-    if isinstance(rows, Chain):
-        return rows.blocks
-    slots: list[tuple[str, ...]] = []
-    index: dict[tuple[str, ...], int] = {}
-    tables = []
-    for _, run in itertools.groupby(
-        rows, lambda r: (id(r.arrangement.owner), r.arrangement.release_order)
-    ):
-        run = list(run)
-        arrangements = ArrangementTable.of([r.arrangement for r in run], slots, index)
-        tables.append(
-            RecordTable(arrangements, [r.count for r in run], [r.solution for r in run])
-        )
-    return tables
+        return itertools.chain.from_iterable(map(_arrangement_texts(pad), self._rows.blocks))
 
 
 # Stands in for a record's count, release order and slots in its frame.

@@ -27,7 +27,7 @@ from wfsat.arrangements import (
     enumerate_arrangements,
 )
 from wfsat.cli import main
-from wfsat.decisions import ArrangementRecord, RecordTable
+from wfsat.decisions import RecordTable
 from wfsat.errors import SchemaSemanticError, SchemaSyntaxError
 from wfsat.io import (
     _BLOCK,
@@ -374,13 +374,15 @@ READ_FLAGS = {
 }
 
 
-def unsolved_rows(schema: Schema) -> list[ArrangementRecord]:
-    """The rows of ``enumerate --what arrangements``: records without a solution."""
-    return [
-        ArrangementRecord(arr, count_sequences(arr))
-        for inst in eliminate_xor(schema.workflow)
-        for arr in enumerate_arrangements(inst)
-    ]
+def unsolved_tables(schema: Schema) -> Chain:
+    """The rows of ``enumerate --what arrangements``: record tables without a solution."""
+    return Chain(
+        [
+            RecordTable(table, [count_sequences(arr) for arr in table], [None] * len(table))
+            for inst in eliminate_xor(schema.workflow)
+            for table in enumerate_arrangements(inst).blocks
+        ]
+    )
 
 
 class TestRecordText:
@@ -401,8 +403,16 @@ class TestRecordText:
     def test_equals_the_reference_renderer(self, seed):
         schema = random_schema(seed, max_steps=8, max_releases=3, max_effort=None)
         solved = decisions.analyze(schema).records
-        unsolved = unsolved_rows(schema)
-        mixed = [r for pair in zip(solved, unsolved) for r in pair]
+        unsolved = unsolved_tables(schema)
+        # Each solved table with every other solution set to None.
+        mixed = Chain(
+            [
+                RecordTable(
+                    t.arrangements, t.counts, [s if i % 2 == 0 else None for i, s in enumerate(t.solutions)]
+                )
+                for t in solved.blocks
+            ]
+        )
         for rows in (solved, unsolved, mixed):
             records = reports.ArrangementRecords(rows)
             for pad in ("\n", "\n    ", "\n" + " " * 10):
@@ -418,7 +428,7 @@ class TestRecordText:
             authorizations={"s1": frozenset({"u1"}), "s2": frozenset({"u1"})},
         )
         assert validate_schema(schema) == []
-        rows = unsolved_rows(schema)
+        rows = unsolved_tables(schema)
         slots = [{r.arrangement.slots for r in rows if r.arrangement.owner.index == i} for i in (0, 1)]
         assert slots[0] == slots[1]
         for pad in ("\n", "\n    "):
@@ -433,7 +443,8 @@ class TestRecordText:
             return {**plain(record), "cost_note": [record.arrangement.owner.index], "zone": "z"}
 
         monkeypatch.setattr(reports, "arrangement_record", extended)
-        rows = list(decisions.analyze(purchase_order).records) + unsolved_rows(purchase_order)
+        solved = decisions.analyze(purchase_order).records
+        rows = Chain(solved.blocks + unsolved_tables(purchase_order).blocks)
         for pad in ("\n", "\n    "):
             expected = [_render(extended(r), pad) for r in rows]
             assert_same_texts(reports.ArrangementRecords(rows).texts(pad), expected)
