@@ -17,7 +17,8 @@ writes the arrangements of each release order into one
 and, when given the steps' cost-signature parts, a column of each
 arrangement's signature, summed as the steps are placed.  The tables of
 one instance make up a :class:`Chain`, a sequence that builds each
-:class:`Arrangement` only when it is read.
+:class:`Arrangement` only when it is read.  :func:`count_sequences`
+reads a table's class sizes column by column, one count per slot id.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ class XorFreeInstance:
     :func:`eliminate_xor`'s list.  An arrangement's instance is
     ``arrangement.owner``.  ``poset`` is compiled when first read.
     ``slot_counts`` memoizes the linear-extension count of each slot
-    content for :func:`count_sequences` and :func:`class_sizes`, and the
-    instances of one :func:`eliminate_xor` call share it: a slot never
-    holds steps from both branches of an xor, so its steps are ordered
-    alike, and counted alike, in every instance that holds them.
+    content for :func:`count_sequences`, and the instances of one
+    :func:`eliminate_xor` call share it: a slot never holds steps from
+    both branches of an xor, so its steps are ordered alike, and counted
+    alike, in every instance that holds them.
     """
 
     ast: CompositionNode
@@ -328,37 +329,27 @@ def arrangement_of(sequence: Sequence, instance: XorFreeInstance) -> Arrangement
     )
 
 
-def _slot_count(owner: XorFreeInstance, slot: tuple[str, ...]) -> int:
-    """The linear extensions of ``slot``'s steps (at least 1), memoized in
-    ``owner.slot_counts``."""
-    count = owner.slot_counts.get(slot)
-    if count is None:
-        count = owner.slot_counts[slot] = count_linear_extensions(owner.ast, slot)
-    return count
-
-
-def count_sequences(arrangement: Arrangement) -> int:
-    """Number of execution sequences in the arrangement's class.
+def count_sequences(table: ArrangementTable) -> list[int]:
+    """The class size of every arrangement of ``table``: its number of
+    execution sequences.
 
     Within a slot any linear extension of the induced subposet may appear,
-    and slots are independent, so the class size is the product of the
-    per-slot linear-extension counts.
-    """
-    owner = arrangement.owner
-    total = 1
-    for slot in arrangement.slots:
-        total *= owner.slot_counts.get(slot) or _slot_count(owner, slot)
-    return total
-
-
-def class_sizes(table: ArrangementTable) -> list[int]:
-    """:func:`count_sequences` of every row of ``table``, column by column.
-
-    Each slot id's count is read once through ``owner.slot_counts``, and
+    and slots are independent, so a class size is the product of its
+    per-slot linear-extension counts.  Each slot id's count is read once
+    per table, through the instances' shared ``owner.slot_counts``, and
     the q columns of counts are multiplied together.
     """
     owner, slots, q = table.owner, table.slots, len(table.release_order) + 1
-    count = Memo(lambda k: _slot_count(owner, slots[k]))
+    memo = owner.slot_counts
+
+    def slot_count(k: int) -> int:
+        slot = slots[k]
+        count = memo.get(slot)
+        if count is None:
+            count = memo[slot] = count_linear_extensions(owner.ast, slot)
+        return count
+
+    count = Memo(slot_count)
     out = itertools.repeat(1, len(table))
     for d in range(q):
         out = map(mul, out, map(count.__getitem__, table.ids[d::q]))

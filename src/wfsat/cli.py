@@ -247,7 +247,7 @@ def _run_enumerate(args, started: float) -> int:
     elif args.what == "arrangements":
         # Unsolved records, counted up front for their number; rendered as written.
         tables = [
-            RecordTable(table, [count_sequences(arr) for arr in table], [None] * len(table))
+            RecordTable(table, count_sequences(table), [None] * len(table))
             for inst in instances
             for table in enumerate_arrangements(inst).blocks
         ]

@@ -3,8 +3,9 @@
 Every procedure runs the same pipeline once: eliminate xor branchings,
 enumerate the execution arrangements of each xor-free instance with
 each one's cost signature, summed from per-step parts as the steps are
-placed, read each one's class size (the number of sequences in its
-class) column by column from per-slot counts, and run one solve per
+placed, read each table's class sizes (the number of sequences in each
+arrangement's class) column by column with
+:func:`~wfsat.arrangements.count_sequences`, and run one solve per
 decomposition grouping (arrangements of an instance that split every
 constraint's scope steps alike at its release points share their
 minimum-cost plan), decomposing each constraint once per distinct split
@@ -27,7 +28,7 @@ from .arrangements import (
     ArrangementTable,
     Chain,
     XorFreeInstance,
-    class_sizes,
+    count_sequences,
     eliminate_xor,
     enumerate_arrangements,
 )
@@ -135,8 +136,8 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     :func:`~wfsat.arrangements.enumerate_arrangements` sums each row's
     cost signature from the steps' parts as it places them, into a key
     column per :class:`ArrangementTable`.  The class sizes are read
-    column by column, from counts memoized per slot id
-    (:func:`~wfsat.arrangements.class_sizes`).  The grouping is decoded
+    column by column, one count per slot id, by
+    :func:`~wfsat.arrangements.count_sequences`.  The grouping is decoded
     once per distinct signature of a table.  Each new grouping's
     classical constraints come, per constraint, from a memo on
     (constraint id, present scope steps, labels) that all instances
@@ -165,7 +166,7 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
         scopes = [(c, scope) for c, scope in scopes if scope]
         for arrangements in enumerate_arrangements(instance, weights).blocks:
             keys = arrangements.keys
-            counts = class_sizes(arrangements)
+            counts = count_sequences(arrangements)
             # Class sizes summed per signature.  The sums keep the signatures'
             # order of first appearance, so each new grouping solves its first row.
             sums = dict.fromkeys(keys, 0)

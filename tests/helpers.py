@@ -8,6 +8,7 @@ serve as oracles for the package's algorithms.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import itertools
 from math import comb
@@ -27,6 +28,7 @@ from wfsat.model import (
     element_order,
     violation_units,
 )
+from wfsat.sequences import count_linear_extensions
 from wfsat.solver import (
     CostedPlan,
     Partition,
@@ -223,6 +225,15 @@ def arrangements_by_filter(instance: XorFreeInstance) -> list[Arrangement]:
     return out
 
 
+def class_size(arrangement: Arrangement) -> int:
+    """The number of execution sequences in the arrangement's class: the
+    product of its slots' linear-extension counts, each counted afresh."""
+    size = 1
+    for slot in arrangement.slots:
+        size *= count_linear_extensions(arrangement.owner.ast, slot)
+    return size
+
+
 def signature_by_slots(arrangement: Arrangement, schema: Schema) -> tuple[int, ...]:
     """The cost signature as a tuple, by a walk over the slots.
 
@@ -360,3 +371,57 @@ def export_dot_by_contraction(node: CompositionNode) -> str:
         lines.append(f'  "{src}" -> "{dst}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# Metamorphic transforms: each gives a schema whose mass table follows
+# from the original's by the definitions alone.
+
+
+def _fresh(taken: set[str], stem: str) -> str:
+    """``stem``, primed until it is not in ``taken``; the result is taken."""
+    while stem in taken:
+        stem += "'"
+    taken.add(stem)
+    return stem
+
+
+def swap_operands(schema: Schema) -> Schema:
+    """The schema with the two operands of every ``par`` and ``xor`` swapped."""
+
+    def swap(node: CompositionNode) -> CompositionNode:
+        if isinstance(node, (StepLeaf, ReleaseLeaf)):
+            return node
+        left, right = swap(node.left), swap(node.right)
+        return Seq(left, right) if isinstance(node, Seq) else type(node)(right, left)
+
+    return dataclasses.replace(schema, workflow=swap(schema.workflow))
+
+
+def append_free_release(schema: Schema) -> Schema:
+    """``seq(W, release(r))`` for a fresh ``r`` that no constraint names."""
+    r = _fresh(set(element_order(schema.workflow)), "r_free")
+    return dataclasses.replace(schema, workflow=Seq(schema.workflow, ReleaseLeaf(r)))
+
+
+def split_weights(schema: Schema) -> Schema:
+    """Every constraint of weight w >= 2 split into two copies, of weights
+    1 and w - 1; the second takes a fresh id."""
+    taken = {c.id for c in schema.constraints}
+    constraints = []
+    for c in schema.constraints:
+        if c.weight < 2:
+            constraints.append(c)
+            continue
+        constraints.append(dataclasses.replace(c, weight=1))
+        constraints.append(dataclasses.replace(c, id=_fresh(taken, c.id), weight=c.weight - 1))
+    return dataclasses.replace(schema, constraints=tuple(constraints))
+
+
+def scale_costs(schema: Schema, k: int) -> Schema:
+    """Every constraint weight and unauthorized penalty multiplied by ``k``."""
+    return dataclasses.replace(
+        schema,
+        default_unauth_penalty=k * schema.default_unauth_penalty,
+        step_unauth_penalty={s: k * p for s, p in schema.step_unauth_penalty.items()},
+        constraints=tuple(dataclasses.replace(c, weight=k * c.weight) for c in schema.constraints),
+    )

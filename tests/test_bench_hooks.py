@@ -19,6 +19,7 @@ from pathlib import Path
 
 import wfsat.arrangements
 import wfsat.cli
+from wfsat.arrangements import eliminate_xor, enumerate_arrangements
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,7 +33,7 @@ def load(name: str):
     return module
 
 
-def test_heavy_trace_reaches_every_exercised_layer(tmp_path):
+def test_heavy_trace_reaches_every_exercised_layer(tmp_path, heavy_schema):
     tracing, workloads, run = load("tracing"), load("workloads"), load("run")
     requests = workloads.build("heavy", 1, tmp_path)
     assert [r.verb for r in requests] == ["check", "enumerate"]
@@ -55,3 +56,10 @@ def test_heavy_trace_reaches_every_exercised_layer(tmp_path):
     # Each request counts the linear extensions of each of heavy's 1,024
     # distinct slot contents once.
     assert layers["sequences.count_linear_extensions.calls"] == 2_048
+    # Class sizes are counted once per arrangement table, in each request.
+    tables = sum(
+        len(enumerate_arrangements(instance).blocks)
+        for instance in eliminate_xor(heavy_schema.workflow)
+    )
+    assert tables == 24
+    assert layers["arrangements.count_sequences.calls"] == 2 * tables

@@ -12,7 +12,6 @@ import pytest
 
 from wfsat import arrangements, decisions, solver
 from wfsat.arrangements import (
-    class_sizes,
     count_sequences,
     eliminate_xor,
     enumerate_arrangements,
@@ -32,7 +31,7 @@ from wfsat.oracle import oracle_decide
 from wfsat.sequences import count_linear_extensions, sequence_count
 from wfsat.solver import cost_keys, cost_signature, min_cost_arrangement
 
-from helpers import arrangements_by_filter, span_grouping
+from helpers import arrangements_by_filter, class_size, span_grouping
 from randgen import random_schema
 from test_acceptance import synthetic_schema
 
@@ -185,7 +184,7 @@ class TestRecordColumns:
         assert [r.arrangement for r in records] == [arr for _, arr in expected]
         for record, (inst, _) in zip(records, expected):
             assert record.arrangement.owner is inst
-            assert record.count == count_sequences(record.arrangement)
+            assert record.count == class_size(record.arrangement)
             assert record.min_cost == min_cost_arrangement(record.arrangement, schema).total
 
     def test_corpus(self, sweep_corpus):
@@ -199,7 +198,7 @@ class TestRecordColumns:
     def test_heavy(self, heavy_schema, heavy_analysis):
         records = assert_sequence_contract(heavy_analysis.records, seed=7)
         assert len(records) == 86_011
-        assert all(r.count == count_sequences(r.arrangement) for r in records)
+        assert all(r.count == class_size(r.arrangement) for r in records)
         for record in random.Random(21).sample(records, 40):
             assert record.min_cost == min_cost_arrangement(record.arrangement, heavy_schema).total
 
@@ -231,14 +230,14 @@ class TestTableColumns:
         for inst in eliminate_xor(schema.workflow):
             weights, grouping = cost_keys(schema, inst.steps)
             for table in enumerate_arrangements(inst, weights).blocks:
-                keys, sizes = table.keys, class_sizes(table)
+                keys, sizes = table.keys, count_sequences(table)
                 assert len(keys) == len(sizes) == len(table)
                 # Equal signatures of a table share one int.
                 assert len(set(map(id, keys))) == len(set(keys))
                 for key, size, arrangement in zip(keys, sizes, table):
                     assert key == cost_signature(arrangement, schema)
                     assert grouping(key) == span_grouping(arrangement, schema)
-                    assert size == count_sequences(arrangement)
+                    assert size == class_size(arrangement)
                 rows += len(table)
         return rows
 

@@ -22,7 +22,6 @@ from wfsat import decisions, reports
 from wfsat.arrangements import (
     ArrangementTable,
     Chain,
-    count_sequences,
     eliminate_xor,
     enumerate_arrangements,
 )
@@ -43,7 +42,7 @@ from wfsat.io import (
 )
 from wfsat.model import Schema, par, release, seq, step, validate_schema, xor
 
-from helpers import export_dot_by_contraction, run_cli
+from helpers import class_size, export_dot_by_contraction, run_cli
 from randgen import corpus, random_schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -378,7 +377,7 @@ def unsolved_tables(schema: Schema) -> Chain:
     """The rows of ``enumerate --what arrangements``: record tables without a solution."""
     return Chain(
         [
-            RecordTable(table, [count_sequences(arr) for arr in table], [None] * len(table))
+            RecordTable(table, [class_size(arr) for arr in table], [None] * len(table))
             for inst in eliminate_xor(schema.workflow)
             for table in enumerate_arrangements(inst).blocks
         ]
