@@ -216,22 +216,25 @@ def enumerate_arrangements(instance: XorFreeInstance, weights=None) -> Chain:
     largest digit of its predecessors and no infeasible vector is built.
 
     The walk is an odometer over a stack of digits: it descends placing
-    each step at its lowest digit, emits the slot vector, then moves the
-    last step that can still go up one slot and descends again.  Slots
-    are held as ids into one list of distinct slot contents.  Placing a
-    step looks the grown slot's id up in a memo kept for the whole call,
-    and backtracking puts the old id back, so every distinct slot content
-    is built and numbered once.  An emitted vector is q ids appended to
-    its release order's :class:`ArrangementTable`; the result is the
-    :class:`Chain` of those tables, one per release order, and builds
-    each :class:`Arrangement` only when it is read.
+    each step at its lowest digit, and places the last step in each of
+    its slots in turn in one loop, emitting a slot vector for each; then
+    it moves the deepest other step that can still go up one slot and
+    descends again.  Slots are held as ids into one list of distinct
+    slot contents.  Placing a step looks the grown slot's id up in a
+    memo kept for the whole call, and backtracking puts the old id back,
+    so every distinct slot content is built and numbered once.  An
+    emitted vector is q ids appended to its release order's
+    :class:`ArrangementTable`; the result is the :class:`Chain` of those
+    tables, one per release order, and builds each :class:`Arrangement`
+    only when it is read.
 
     ``weights``, when given, is the first half of
     :func:`wfsat.solver.cost_keys`: ``weights(release_order)[j][d]`` is
     step j's part of the cost signature in slot d.  The odometer then
     keeps a running sum per depth, adds the placed step's part as it
-    descends, and appends the full sum of each emitted vector to its
-    table's ``keys``, one ``int`` object per distinct signature.
+    descends, and appends the full sum of each emitted vector, the last
+    step's part included, to its table's ``keys``, one ``int`` object
+    per distinct signature.
     """
     poset = instance.poset
     steps = list(instance.steps)
@@ -264,14 +267,36 @@ def enumerate_arrangements(instance: XorFreeInstance, weights=None) -> Chain:
             parts = weights(release_order)
             keys = []
             # sums[j] is the signature part of the steps placed before step j.
-            sums = [0] * (n + 1)
+            sums = [0] * n
         # Step j sits in slot digits[j], whose id it grew from below[j].
         row = [0] * q
         digits = [0] * n
         below = [0] * n
-        j, d = 0, lows[0] if n else 0  # step 0 has no predecessors
+        if not n:
+            ids.fromlist(row)
+            if keys is not None:
+                keys.append(0)
+        last = n - 1
+        j, d = (0, lows[0]) if n else (-1, 0)  # step 0 has no predecessors
         while j >= 0:
-            if j < n and d <= highs[j]:
+            if j == last:
+                # The last step, in each of its slots in turn: one row each.
+                if keys is not None:
+                    base, part = sums[j], parts[j]
+                for d in range(d, highs[j] + 1):
+                    slot = row[d]
+                    key = slot * n + j
+                    new = grown.get(key)
+                    if new is None:
+                        new = grown[key] = len(slots)
+                        slots.append(slots[slot] + (steps[j],))
+                    row[d] = new
+                    ids.fromlist(row)
+                    row[d] = slot
+                    if keys is not None:
+                        total = base + part[d]
+                        keys.append(intern(total, total))
+            elif d <= highs[j]:
                 slot = below[j] = row[d]
                 key = slot * n + j
                 new = grown.get(key)
@@ -283,16 +308,11 @@ def enumerate_arrangements(instance: XorFreeInstance, weights=None) -> Chain:
                 if keys is not None:
                     sums[j + 1] = sums[j] + parts[j][d]
                 j += 1
-                if j < n:
-                    d = lows[j]
-                    for i in preds[j]:
-                        if digits[i] > d:
-                            d = digits[i]
+                d = lows[j]
+                for i in preds[j]:
+                    if digits[i] > d:
+                        d = digits[i]
                 continue
-            if j == n:
-                ids.fromlist(row)
-                if keys is not None:
-                    keys.append(intern(sums[n], sums[n]))
             # Take the last placed step out and move it one slot up.
             j -= 1
             if j >= 0:

@@ -24,6 +24,7 @@ import io
 import os
 import sys
 import time
+from array import array
 from fractions import Fraction
 
 from . import decisions, oracle, reports
@@ -247,7 +248,7 @@ def _run_enumerate(args, started: float) -> int:
     elif args.what == "arrangements":
         # Unsolved records, counted up front for their number; rendered as written.
         tables = [
-            RecordTable(table, count_sequences(table), [None] * len(table))
+            RecordTable(table, count_sequences(table), [None], array("I", [0]) * len(table))
             for inst in instances
             for table in enumerate_arrangements(inst).blocks
         ]

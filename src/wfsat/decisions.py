@@ -19,6 +19,7 @@ rational arithmetic) and the probability of completing within budget.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -68,25 +69,29 @@ class RecordTable(Sequence):
     """One :class:`ArrangementTable` with two columns parallel to it.
 
     ``counts`` holds each arrangement's class size, a list because class
-    sizes are unbounded ints, and ``solutions`` its minimum-cost plan, or
-    ``None`` where nothing was solved.  Reading a row builds its
-    :class:`ArrangementRecord`.
+    sizes are unbounded ints.  ``plans`` lists the table's distinct
+    minimum-cost plans, ``None`` standing for nothing solved, and the
+    array ``plan_ids`` holds each arrangement's index into it:
+    arrangement i's plan is ``plans[plan_ids[i]]``.  :func:`analyze`
+    lists each plan once, in the order its id first appears in the
+    column.  Reading a row builds its :class:`ArrangementRecord`.
     """
 
     arrangements: ArrangementTable
     counts: list[int]
-    solutions: list[CostedPlan | None]
+    plans: list[CostedPlan | None]
+    plan_ids: array
 
     def __len__(self) -> int:
         return len(self.counts)
 
     def __getitem__(self, index) -> ArrangementRecord:
-        return ArrangementRecord(
-            self.arrangements[index], self.counts[index], self.solutions[index]
-        )
+        plan = self.plans[self.plan_ids[index]]
+        return ArrangementRecord(self.arrangements[index], self.counts[index], plan)
 
     def __iter__(self) -> Iterator[ArrangementRecord]:
-        return map(ArrangementRecord, self.arrangements, self.counts, self.solutions)
+        plans = map(self.plans.__getitem__, self.plan_ids)
+        return map(ArrangementRecord, self.arrangements, self.counts, plans)
 
 
 @dataclass
@@ -144,8 +149,9 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
     share, since decomposition reads nothing else; only a miss builds
     the row and calls :func:`~wfsat.solver.decompose_constraint`.  They
     are solved by :func:`~wfsat.solver.solve_components`.  ``mass`` adds
-    the class sizes summed per signature.  The class sizes and solutions
-    are kept as two columns beside the table (:class:`RecordTable`); the
+    the class sizes summed per signature.  Beside each table are kept its
+    class sizes and a plan-id column into its distinct plans, listed in
+    the order their signatures first appear (:class:`RecordTable`); the
     key column is dropped once its table is priced, and no arrangement
     or record is kept.  The analysis is serial.  ``jobs`` is accepted
     for compatibility and ignored.
@@ -172,6 +178,10 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
             sums = dict.fromkeys(keys, 0)
             for key, count in zip(keys, counts):
                 sums[key] += count
+            # The table's distinct plans, in the order their signatures first appear.
+            plans: list[CostedPlan] = []
+            index: dict[int, int] = {}  # id(plan) -> its position in plans
+            plan_of: dict[int, int] = {}  # signature -> its plan's position
             for key, count in sums.items():
                 solution = by_signature.get(key)
                 if solution is None:
@@ -194,11 +204,14 @@ def analyze(schema: Schema, jobs: int | None = 1) -> Analysis:
                             instance.steps, classical, schema, cache
                         )
                     by_signature[key] = solution
+                plan_of[key] = index.setdefault(id(solution), len(plans))
+                if len(index) > len(plans):
+                    plans.append(solution)
                 total = solution.total
                 mass[total] = mass.get(total, 0) + count
-            solutions = list(map(by_signature.__getitem__, keys))
+            plan_ids = array("I", map(plan_of.__getitem__, keys))
             # The analysis keeps every table; it needs no key column.
-            tables.append(RecordTable(replace(arrangements, keys=None), counts, solutions))
+            tables.append(RecordTable(replace(arrangements, keys=None), counts, plans, plan_ids))
     return Analysis(
         schema=schema,
         instances=instances,

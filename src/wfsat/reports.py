@@ -7,11 +7,12 @@ writer in blocks of a few dozen, so a report is never held whole in
 memory.  Arrangement records are :class:`ArrangementRecords`, sized and
 re-iterable, and are written straight from the columns of their
 :class:`~wfsat.decisions.RecordTable` blocks, column by column, with no
-record or dict built and no Python code run per row: each solution and
+record or dict built and no Python code run per row: each plan and
 instance has one frame, its reference record rendered once with the
 count, release order and slots left as holes, and each row fills those
-holes.  Each table's release order is rendered once, and each slot once
-per slot id, so only the class size is converted afresh per record.
+holes.  A row draws its frame's pieces by its plan id, its slots' texts
+from a list indexed by slot id and its class size's text from a memo
+on the value, so each row's text is one join of lookups.
 The shape is published as a JSON Schema in ``report-schema.json`` next
 to this module.
 """
@@ -89,28 +90,29 @@ def _arrangement_texts(pad: str) -> Callable[[RecordTable], Iterator[str]]:
 
     Each text it yields equals ``_render(arrangement_record(record),
     pad)`` for the table's record in that row.  A row's frame is that
-    reference text for a record with the row's instance and solution and
+    reference text for a record with the row's instance and plan and
     with its count, release order and slots set to ``_HOLE``, split at
     the hole into four pieces; the row fills the holes with its own
     three, in the order ``io`` writes their keys.  Memoized are:
 
-    * the frame, on the solution and the instance.  Unsolved rows of
-      every instance share the solution ``None``, so the instance is
-      part of the key.
+    * the frame, on the plan and the instance.  Unsolved rows of every
+      instance share the plan ``None``, so the instance is part of the
+      key.
     * the release order, on its content.
-    * each slot, on its slot id in its table's list of slots, never
-      whole slot vectors, whose number grows with the records'.
+    * the text of every slot of a slot list, in a list indexed by slot
+      id, built when the first table of that list is rendered.
+    * the text of each class size, on its value.
 
     A table is rendered column by column, with no Python code run per
-    row: each distinct solution's frame is looked up once per table,
-    with the release order already between its pieces, and ``map`` and
-    ``zip`` then draw each row's frame pieces, its count and the text of
-    each of its slot ids into one ``"".join``.  Every column is an
-    iterator over the table's own columns, so rendering holds nothing
-    per row.
+    row: the frame pieces of each of the table's plans are listed once,
+    by plan id, with the release order already between them, and ``map``
+    and ``zip`` then draw each row's frame pieces by its plan id, its
+    count and the text of each of its slot ids into one ``"".join``.
+    Every column is an iterator over the table's own columns, so
+    rendering holds nothing per row.
 
-    Solutions, instances and slot lists are keyed by identity, which
-    stays stable while the tables being written hold them.  An id that
+    Plans, instances and slot lists are keyed by identity, which stays
+    stable while the tables being written hold them.  An id that
     renders like the hole splits a frame into more than four pieces:
     ``ValueError``.
     """
@@ -119,38 +121,46 @@ def _arrangement_texts(pad: str) -> Callable[[RecordTable], Iterator[str]]:
     hole = _render(_HOLE, pad)
     frames: dict[tuple[int, int], tuple[str, str, str, str]] = {}
     orders = Memo(lambda order: _render(order, field))
-    slot_texts: dict[int, Memo] = {}
+    slot_texts: dict[int, list[str]] = {}
+    count_texts = Memo(str)
 
-    def frame(owner, solution) -> tuple[str, str, str, str]:
-        holes = ArrangementRecord(Arrangement(_HOLE, _HOLE, owner), _HOLE, solution)
+    def frame(owner, plan) -> tuple[str, str, str, str]:
+        holes = ArrangementRecord(Arrangement(_HOLE, _HOLE, owner), _HOLE, plan)
         head, mid, between, tail = _render(arrangement_record(holes), pad).split(hole)
         # The slots are filled in as an array; an arrangement has at least one.
         return head, mid, between + "[", field + "]" + tail
 
     def texts(table: RecordTable) -> Iterator[str]:
-        arrangements, solutions = table.arrangements, table.solutions
+        arrangements, plan_ids = table.arrangements, table.plan_ids
         owner, slots = arrangements.owner, arrangements.slots
         slot = slot_texts.get(id(slots))
         if slot is None:
-            slot = slot_texts[id(slots)] = Memo(lambda k: item + _render(slots[k], item))
+            slot = slot_texts[id(slots)] = [item + _render(s, item) for s in slots]
         order = orders[arrangements.release_order]
-        table_frames = {}
-        for key, solution in dict(zip(map(id, solutions), solutions)).items():
-            pieces = frames.get((key, id(owner)))
+        heads, mids, tails = [], [], []
+        for plan in table.plans:
+            pieces = frames.get((id(plan), id(owner)))
             if pieces is None:
-                pieces = frames[key, id(owner)] = frame(owner, solution)
+                pieces = frames[id(plan), id(owner)] = frame(owner, plan)
             head, mid, between, tail = pieces
-            table_frames[key] = head, mid + order + between, tail
-        # zip draws from its arguments left to right, so an iterator passed
-        # at several places gives each of them its next item: the three
-        # pieces of a row's frame, and the texts of its slot ids, each
-        # after the first behind a comma.
-        framed = itertools.chain.from_iterable(map(table_frames.__getitem__, map(id, solutions)))
+            heads.append(head)
+            mids.append(mid + order + between)
+            tails.append(tail)
+        # zip draws from its arguments left to right, so the slot column,
+        # passed at several places, gives each of them its next item: the
+        # texts of a row's slot ids, each after the first behind a comma.
         slot_column = map(slot.__getitem__, arrangements.ids)
         later_slots = [itertools.repeat(","), slot_column] * len(arrangements.release_order)
         return map(
             "".join,
-            zip(framed, map(str, table.counts), framed, slot_column, *later_slots, framed),
+            zip(
+                map(heads.__getitem__, plan_ids),
+                map(count_texts.__getitem__, table.counts),
+                map(mids.__getitem__, plan_ids),
+                slot_column,
+                *later_slots,
+                map(tails.__getitem__, plan_ids),
+            ),
         )
 
     return texts

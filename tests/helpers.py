@@ -425,3 +425,45 @@ def scale_costs(schema: Schema, k: int) -> Schema:
         step_unauth_penalty={s: k * p for s, p in schema.step_unauth_penalty.items()},
         constraints=tuple(dataclasses.replace(c, weight=k * c.weight) for c in schema.constraints),
     )
+
+
+def rename_users(schema: Schema) -> tuple[Schema, dict[str, str]]:
+    """Every user renamed, with ``schema.users``' order kept, and the renaming.
+
+    The new names sort in the reverse of that order, so a tie-break that
+    read names rather than positions would show.
+    """
+    n = len(schema.users)
+    names = {u: f"user{n - i:03d}" for i, u in enumerate(schema.users)}
+    renamed = dataclasses.replace(
+        schema,
+        users=tuple(map(names.__getitem__, schema.users)),
+        authorizations={s: frozenset(map(names.__getitem__, us)) for s, us in schema.authorizations.items()},
+    )
+    return renamed, names
+
+
+def refold(schema: Schema) -> Schema:
+    """Every chain of ``seq`` (or of ``par``) operands nested to the left.
+
+    ``seq(a, seq(b, c))`` becomes ``seq(seq(a, b), c)``; the leaves keep
+    their left-to-right order.
+    """
+
+    def operands(node: CompositionNode, op: type) -> list[CompositionNode]:
+        if type(node) is op:
+            return operands(node.left, op) + operands(node.right, op)
+        return [fold(node)]
+
+    def fold(node: CompositionNode) -> CompositionNode:
+        if isinstance(node, (StepLeaf, ReleaseLeaf)):
+            return node
+        if isinstance(node, Xor):
+            return Xor(fold(node.left), fold(node.right))
+        op = type(node)
+        left, *rights = operands(node, op)
+        for right in rights:
+            left = op(left, right)
+        return left
+
+    return dataclasses.replace(schema, workflow=fold(schema.workflow))

@@ -132,6 +132,44 @@ class TestEnumerateArrangements:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_steps=st.integers(1, 6),
+        n_releases=st.integers(0, 3),
+        n_xors=st.integers(0, 2),
+    )
+    def test_random_trees_match_the_reference(self, seed, n_steps, n_releases, n_xors):
+        # The odometer places the last step in all of its slots in one loop.
+        tree = random_tree(random.Random(seed), n_steps, n_releases, n_xors)
+        for inst in eliminate_xor(tree):
+            assert list(enumerate_arrangements(inst)) == arrangements_by_filter(inst)
+
+    @pytest.mark.parametrize(
+        "tree, expected",
+        [
+            (step("a"), [((), (("a",),))]),
+            (seq(release("r1"), step("a"), release("r2")), [(("r1", "r2"), ((), ("a",), ()))]),
+            # The last step, b, starts in the slot of its predecessor a.
+            (
+                par(seq(step("a"), step("b")), release("r")),
+                [(("r",), (("a", "b"), ())), (("r",), (("a",), ("b",))), (("r",), ((), ("a", "b")))],
+            ),
+        ],
+        ids=["one-step", "one-step-between-releases", "last-step-after-a-predecessor"],
+    )
+    def test_small_instances(self, tree, expected):
+        (inst,) = eliminate_xor(tree)
+        assert [arrangement_key(a) for a in enumerate_arrangements(inst)] == expected
+
+    def test_an_instance_without_steps(self):
+        without = eliminate_xor(xor(step("a"), release("r")))[1]
+        assert (without.steps, without.releases) == ((), ("r",))
+        (arrangement,) = enumerate_arrangements(without)
+        assert arrangement_key(arrangement) == (("r",), ((), ()))
+        table = enumerate_arrangements(without, lambda order: []).blocks[0]
+        assert table.keys == [0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(1, 6),
         n_releases=st.integers(0, 5),
         n_xors=st.integers(0, 2),
     )

@@ -301,6 +301,34 @@ class TestTableColumns:
         assert sum(counted.values()) == len(held) == 1_024
 
 
+class TestPlanColumn:
+    """Each table lists every plan its rows use once, in the order of the
+    rows' first use: the renderer builds one frame per listed plan."""
+
+    @staticmethod
+    def assert_plan_column(analysis) -> int:
+        for table in analysis.records.blocks:
+            plans, ids = table.plans, table.plan_ids
+            assert ids.typecode == "I" and len(ids) == len(table)
+            assert len(set(map(id, plans))) == len(plans) and None not in plans
+            assert max(ids, default=-1) < len(plans)
+            # Every plan is used, and ids first appear as 0, 1, 2, ...
+            assert list(dict.fromkeys(ids)) == list(range(len(plans)))
+        return sum(len(t.plans) for t in analysis.records.blocks)
+
+    def test_corpus(self, small_corpus):
+        assert sum(self.assert_plan_column(analyze(s)) for s in small_corpus) > len(small_corpus)
+
+    def test_fixtures(self, purchase_order, purchase_order_restricted, purchase_order_no_release):
+        for schema in (purchase_order, purchase_order_restricted, purchase_order_no_release):
+            assert self.assert_plan_column(analyze(schema)) > 0
+
+    def test_heavy(self, heavy_analysis):
+        tables = heavy_analysis.records.blocks
+        assert self.assert_plan_column(heavy_analysis) < len(heavy_analysis.records) // 10
+        assert all(len(t.plans) > 1 for t in tables)
+
+
 class TestStrongSat:
     def test_restricted_not_strongly_satisfiable(self, purchase_order_restricted):
         answer, failing = check_strong_sat(purchase_order_restricted)

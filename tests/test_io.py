@@ -377,7 +377,7 @@ def unsolved_tables(schema: Schema) -> Chain:
     """The rows of ``enumerate --what arrangements``: record tables without a solution."""
     return Chain(
         [
-            RecordTable(table, [class_size(arr) for arr in table], [None] * len(table))
+            RecordTable(table, [class_size(arr) for arr in table], [None], array("I", [0]) * len(table))
             for inst in eliminate_xor(schema.workflow)
             for table in enumerate_arrangements(inst).blocks
         ]
@@ -403,11 +403,14 @@ class TestRecordText:
         schema = random_schema(seed, max_steps=8, max_releases=3, max_effort=None)
         solved = decisions.analyze(schema).records
         unsolved = unsolved_tables(schema)
-        # Each solved table with every other solution set to None.
+        # Each solved table with every other plan set to None, listed last.
         mixed = Chain(
             [
                 RecordTable(
-                    t.arrangements, t.counts, [s if i % 2 == 0 else None for i, s in enumerate(t.solutions)]
+                    t.arrangements,
+                    t.counts,
+                    [*t.plans, None],
+                    array("I", (p if i % 2 == 0 else len(t.plans) for i, p in enumerate(t.plan_ids))),
                 )
                 for t in solved.blocks
             ]
@@ -529,6 +532,7 @@ class TestRecordColumns:
             ArrangementTable(arrangements.owner, arrangements.release_order, arrangements.slots, array("I")),
             [],
             [],
+            array("I"),
         )
         assert list(reports._arrangement_texts("\n")(empty)) == []
         assert list(reports.ArrangementRecords(Chain([empty])).texts("\n")) == []
@@ -546,19 +550,19 @@ class TestRecordColumns:
     def test_rows_interleaving_solutions_render_like_the_reference(self):
         tables = []
         for table in two_instance_tables():
-            solved = table.solutions[0]
-            # Three distinct solutions and None, in a cycle that does not
+            solved = table.plans[0]
+            # Three distinct plans and None, in a cycle of ids that does not
             # divide the table's length; both instances' tables hold None.
-            cycle = [
+            plans = [
                 solved,
                 None,
                 dataclasses.replace(solved, constraint_weight=solved.constraint_weight + 3),
                 dataclasses.replace(solved, authorization_weight=solved.authorization_weight + 5),
-                None,
             ]
-            solutions = [cycle[i % len(cycle)] for i in range(len(table))]
-            tables.append(RecordTable(table.arrangements, table.counts, solutions))
-        assert [len(set(map(id, t.solutions))) for t in tables] == [4, 4]
+            cycle = [0, 1, 2, 3, 1]
+            plan_ids = array("I", (cycle[i % len(cycle)] for i in range(len(table))))
+            tables.append(RecordTable(table.arrangements, table.counts, plans, plan_ids))
+        assert [len(t.plans) for t in tables] == [len(set(t.plan_ids)) for t in tables] == [4, 4]
         rows = Chain(tables)
         assert {r.arrangement.owner.index for r in rows if r.solution is None} == {0, 1}
         records = reports.ArrangementRecords(rows)

@@ -13,7 +13,14 @@ import pytest
 
 from wfsat.decisions import analyze
 
-from helpers import append_free_release, scale_costs, split_weights, swap_operands
+from helpers import (
+    append_free_release,
+    refold,
+    rename_users,
+    scale_costs,
+    split_weights,
+    swap_operands,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +69,31 @@ def test_scaling_costs_scales_every_cost(masses):
         masses, lambda s: scale_costs(s, 3), lambda mass: {3 * c: n for c, n in mass.items()}
     )
     assert scaled == []
+
+
+def test_refolding_seq_and_par_keeps_the_mass(masses):
+    refolded = [refold(s).workflow != s.workflow for s, _ in masses]
+    assert sum(refolded) > 50 and refolded[-1]  # heavy among them
+    assert mismatches(masses, refold) == []
+
+
+def renamed_rows(analysis, names: dict[str, str]) -> list[tuple]:
+    """Each record's arrangement, count, costs and witness, the witness's
+    users renamed by ``names``."""
+    return [
+        (
+            r.arrangement,
+            r.count,
+            r.solution.constraint_weight,
+            r.solution.authorization_weight,
+            {s: names[u] for s, u in r.solution.plan.items()},
+        )
+        for r in analysis.records
+    ]
+
+
+def test_renaming_users_renames_the_witnesses(masses):
+    for schema, _ in masses:
+        renamed, names = rename_users(schema)
+        identity = {u: u for u in renamed.users}
+        assert renamed_rows(analyze(schema), names) == renamed_rows(analyze(renamed), identity)
