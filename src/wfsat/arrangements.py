@@ -370,7 +370,7 @@ def count_sequences(table: ArrangementTable) -> list[int]:
         return count
 
     count = Memo(slot_count)
-    out = itertools.repeat(1, len(table))
-    for d in range(q):
+    out = map(count.__getitem__, table.ids[::q])
+    for d in range(1, q):
         out = map(mul, out, map(count.__getitem__, table.ids[d::q]))
     return list(out)
