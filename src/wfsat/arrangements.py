@@ -245,8 +245,10 @@ def enumerate_arrangements(instance: XorFreeInstance, weights=None) -> Chain:
 
     tables: list[ArrangementTable] = []
     slots: list[tuple[str, ...]] = [()]  # id 0 is the empty slot
-    # grown[k * n + j] is the id of slots[k] + (steps[j],).
+    # grown[k * n + j] is the id of slots[k] + (steps[j],), for j < n - 1,
+    # and grown_last[k] that of slots[k] + (steps[n - 1],).
     grown: dict[int, int] = {}
+    grown_last: dict[int, int] = {}
     intern = {}.setdefault
     keys = None
     for release_order in iter_sequences(poset.restrict(instance.releases)):
@@ -285,10 +287,9 @@ def enumerate_arrangements(instance: XorFreeInstance, weights=None) -> Chain:
                     base, part = sums[j], parts[j]
                 for d in range(d, highs[j] + 1):
                     slot = row[d]
-                    key = slot * n + j
-                    new = grown.get(key)
+                    new = grown_last.get(slot)
                     if new is None:
-                        new = grown[key] = len(slots)
+                        new = grown_last[slot] = len(slots)
                         slots.append(slots[slot] + (steps[j],))
                     row[d] = new
                     ids.fromlist(row)
